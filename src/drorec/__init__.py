@@ -2,11 +2,13 @@
 robust optimization, with a mixture exposure simulator and SNIPS
 evaluation on a synthetic feedback-loop world."""
 
+__version__ = "0.1.0"
+
 from .config import ExperimentConfig, load_config, save_config
 from .data import (Catalog, DatasetSplit, Event, EventLog, parse_event_log,
                    serialize_event_log, split_by_user, split_exposure,
                    truncate_pad)
-from .dro import dro_loss, joint_loss, surrogate_risk, train_dro, train_model
+from .dro import dro_loss, joint_loss, surrogate_risk, train_model
 from .evaluation import (MetricsReport, coverage, debiasedness_check,
                          ideal_reward, metric_c, rank_items, snips_evaluate)
 from .exposure import (ExposureSimulator, PopularityTable, build_simulator,
@@ -14,5 +16,3 @@ from .exposure import (ExposureSimulator, PopularityTable, build_simulator,
 from .model import SeqModel
 from .synthworld import (GroundTruthWorld, LoggingPolicy, generate_world,
                          oracle_evaluate, run_feedback_loop)
-
-__version__ = "0.1.0"

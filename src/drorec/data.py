@@ -9,6 +9,7 @@ timestamp; anything else is treated as a corrupt log.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -30,6 +31,10 @@ class IntegrityError(ValueError):
 
 class ConfigurationError(ValueError):
     """Invalid split configuration."""
+
+
+class CatalogMismatchError(ValueError):
+    """A checkpoint was trained on a different item catalog."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,18 @@ class Catalog:
         if index == PAD_INDEX:
             return self.pad_item
         return self.item_ids[index - 1]
+
+    @property
+    def fingerprint(self) -> str:
+        """Hash of the ordered item ids, which fix every item index."""
+        return hashlib.sha256("\n".join(self.item_ids).encode()).hexdigest()[:16]
+
+    def check_fingerprint(self, found: str, source) -> None:
+        """Raise CatalogMismatchError unless ``found`` names this catalog."""
+        if found != self.fingerprint:
+            raise CatalogMismatchError(
+                f"{source} was trained on catalog {found or '(unrecorded)'}, "
+                f"but the event log's catalog is {self.fingerprint}")
 
 
 @dataclass

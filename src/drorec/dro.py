@@ -73,9 +73,20 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
 
     seqs is (B, T); position p's state predicts the item at p + 1, with
     negs (B, T-1) the sampled negatives for those targets.  Losses are
-    normalized by the number of valid steps in the batch.
+    normalized by the number of valid steps in the batch; the per-step
+    inputs q0_steps and prop_steps are aligned with negs.
     """
     p = model.params if params is None else params
+    # Rows are left-padded: drop the leading columns that are pad in every
+    # row, so the encoders skip them.  Each step keeps its place and order,
+    # and attention positions are right-aligned, so only the order of some
+    # floating-point sums changes (none at all in the recurrent encoder).
+    first = int(np.argmax(seqs.any(axis=0)))
+    seqs, negs = seqs[:, first:], negs[:, first:]
+    if q0_steps is not None:
+        q0_steps = q0_steps[:, first:]
+    if prop_steps is not None:
+        prop_steps = prop_steps[:, first:]
     valid = _valid_steps(seqs)
     n_steps = int(valid.sum())
     if n_steps == 0:
@@ -167,8 +178,14 @@ def train_model(model: SeqModel, seqs: np.ndarray, *, method: str = "none",
                 a: float = 0.0, q0_steps: np.ndarray | None = None,
                 prop_steps: np.ndarray | None = None, clip: float | None = None,
                 epochs: int = 10, lr: float = 0.005, batch_size: int = 128,
-                seed: int = 0, beta2: float = 0.999, log_path=None) -> list[dict]:
+                seed: int = 0, beta2: float = 0.999, log_path=None,
+                phase: str | None = None, first_epoch: int = 0) -> list[dict]:
     """Optimize the model in place; returns the per-epoch metric records.
+
+    Records are numbered from first_epoch and carry ``phase`` when given.
+    With log_path they are also written there as JSON lines: the file is
+    started afresh at epoch 0 and appended to otherwise, so the phases of
+    one run share a log.
 
     Deterministic given (initial parameters, seed).  The per-epoch RNG
     schedule (user shuffle, then negative sampling) is identical for all
@@ -191,7 +208,9 @@ def train_model(model: SeqModel, seqs: np.ndarray, *, method: str = "none",
     n_users, T = seqs.shape
     targets = seqs[:, 1:]
     records = []
-    log_file = open(log_path, "w") if log_path is not None else None
+    log_file = None
+    if log_path is not None:
+        log_file = open(log_path, "a" if first_epoch else "w")
     try:
         for epoch in range(epochs):
             t0 = time.perf_counter()
@@ -221,11 +240,13 @@ def train_model(model: SeqModel, seqs: np.ndarray, *, method: str = "none",
                 for k in sums:
                     sums[k] += out[k] * out["n_steps"]
                 steps += out["n_steps"]
-            record = {"epoch": epoch,
+            record = {"epoch": first_epoch + epoch,
                       "loss_rec": sums["loss_rec"] / steps,
                       "loss_dro": sums["loss_dro"] / steps,
                       "loss_joint": sums["loss_joint"] / steps,
                       "seconds": time.perf_counter() - t0}
+            if phase is not None:
+                record["phase"] = phase
             records.append(record)
             if log_file is not None:
                 log_file.write(json.dumps(record) + "\n")
@@ -234,18 +255,3 @@ def train_model(model: SeqModel, seqs: np.ndarray, *, method: str = "none",
             log_file.close()
     return records
 
-
-def train_dro(model: SeqModel, seqs: np.ndarray, simulator, *, a: float,
-              epochs: int = 10, lr: float = 0.005, batch_size: int = 128,
-              seed: int = 0, log_path=None) -> list[dict]:
-    """DRO training against a frozen exposure simulator.
-
-    q0 is precomputed once per training run; no gradient reaches the
-    simulator.
-    """
-    q0_steps = None
-    if a != 0.0:
-        q0_steps = simulator.q0_all_positions(seqs)[:, :-1, :]
-    return train_model(model, seqs, method="dro", a=a, q0_steps=q0_steps,
-                       epochs=epochs, lr=lr, batch_size=batch_size,
-                       seed=seed, log_path=log_path)

@@ -20,7 +20,7 @@ from .data import Catalog, Event, sequences_to_matrix
 from .model import SeqModel
 from .nn import load_params, save_params, softmax
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class LeakageError(ValueError):
@@ -88,7 +88,8 @@ def train_exposure_component(events: list[Event], catalog: Catalog, arch: str, *
         check_no_leakage(events, forbidden)
     seqs = exposure_sequences(events, catalog)
     mat = sequences_to_matrix(seqs, max_len)
-    model = SeqModel(catalog.n_items, dim, max_len, arch, seed=seed)
+    model = SeqModel(catalog.n_items, dim, max_len, arch, seed=seed,
+                     fingerprint=catalog.fingerprint)
     train_model(model, mat, method="none", epochs=epochs, lr=lr,
                 batch_size=batch_size, seed=seed)
     return model.freeze()
@@ -163,30 +164,30 @@ class ExposureSimulator:
                     n_items=self.component_a.n_items,
                     dim=self.component_a.dim,
                     a_max_len=self.component_a.max_len,
-                    b_max_len=self.component_b.max_len)
+                    b_max_len=self.component_b.max_len,
+                    catalog=self.component_a.fingerprint)
 
     @classmethod
-    def load(cls, path) -> "ExposureSimulator":
+    def load(cls, path, catalog: Catalog | None = None) -> "ExposureSimulator":
+        """Read a checkpoint; with ``catalog``, first check it was trained on it."""
         arrays, meta = load_params(path)
         if int(meta["format_version"]) != FORMAT_VERSION:
             raise ValueError(f"unsupported simulator format {meta['format_version']}")
+        fingerprint = str(meta["catalog"])
+        if catalog is not None:
+            catalog.check_fingerprint(fingerprint, path)
         comps = {}
-        for prefix, arch_key, len_key in (("a__", "a_arch", "a_max_len"),
-                                          ("b__", "b_arch", "b_max_len")):
-            model = SeqModel.__new__(SeqModel)
-            model.n_items = int(meta["n_items"])
-            model.dim = int(meta["dim"])
-            model.max_len = int(meta[len_key])
-            model.arch = str(meta[arch_key])
-            model.frozen = False
-            model.params = {k[len(prefix):]: v.copy() for k, v in arrays.items()
-                            if k.startswith(prefix)}
-            comps[prefix] = model
+        for c in ("a", "b"):
+            params = {k[3:]: v.copy() for k, v in arrays.items() if k.startswith(f"{c}__")}
+            comps[c] = SeqModel.restore(params, arch=meta[f"{c}_arch"],
+                                        n_items=meta["n_items"], dim=meta["dim"],
+                                        max_len=meta[f"{c}_max_len"],
+                                        fingerprint=fingerprint)
         counts = arrays["pop_counts"]
         top = counts.max(initial=0)
         pop = PopularityTable(counts=counts,
                               scores=counts / top if top > 0 else np.zeros(len(counts)))
-        return cls(component_a=comps["a__"], component_b=comps["b__"],
+        return cls(component_a=comps["a"], component_b=comps["b"],
                    popularity=pop, beta=float(meta["beta"]),
                    prefix_len=int(meta["prefix_len"]))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import attention, gru
+from .data import Catalog
 from .nn import Adam, load_params, log_sigmoid, save_params, sigmoid, uniform_init
 
 ARCHS = ("recurrent", "attention")
@@ -30,17 +31,19 @@ class SeqModel:
 
     Parameters are a flat dict of named float64 arrays: item embeddings
     (row 0 is the pad item and stays zero), architecture weights and the
-    two head layers.
+    two head layers.  ``fingerprint`` names the catalog the item indices
+    refer to (``Catalog.fingerprint``); checkpoints carry it.
     """
 
     def __init__(self, n_items: int, dim: int, max_len: int, arch: str, seed: int = 0,
-                 align_heads: bool = False):
+                 align_heads: bool = False, fingerprint: str = ""):
         if arch not in ARCHS:
             raise ValueError(f"unknown architecture {arch!r}")
         self.n_items = n_items
         self.dim = dim
         self.max_len = max_len
         self.arch = arch
+        self.fingerprint = fingerprint
         self.frozen = False
 
         rng = np.random.default_rng(seed)
@@ -210,16 +213,29 @@ class SeqModel:
 
     def save(self, path) -> None:
         save_params(path, self.params, arch=self.arch, n_items=self.n_items,
-                    dim=self.dim, max_len=self.max_len)
+                    dim=self.dim, max_len=self.max_len, catalog=self.fingerprint)
 
     @classmethod
-    def load(cls, path) -> "SeqModel":
-        params, meta = load_params(path)
+    def restore(cls, params: dict, *, arch, n_items, dim, max_len,
+                fingerprint) -> "SeqModel":
+        """A model around saved parameters, without initialising new ones."""
         model = cls.__new__(cls)
-        model.n_items = int(meta["n_items"])
-        model.dim = int(meta["dim"])
-        model.max_len = int(meta["max_len"])
-        model.arch = str(meta["arch"])
+        model.n_items = int(n_items)
+        model.dim = int(dim)
+        model.max_len = int(max_len)
+        model.arch = str(arch)
+        model.fingerprint = str(fingerprint)
         model.frozen = False
         model.params = params
         return model
+
+    @classmethod
+    def load(cls, path, catalog: Catalog | None = None) -> "SeqModel":
+        """Read a checkpoint; with ``catalog``, first check it was trained on it."""
+        params, meta = load_params(path)
+        fingerprint = str(meta.get("catalog", ""))
+        if catalog is not None:
+            catalog.check_fingerprint(fingerprint, path)
+        return cls.restore(params, arch=meta["arch"], n_items=meta["n_items"],
+                           dim=meta["dim"], max_len=meta["max_len"],
+                           fingerprint=fingerprint)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines
+from . import __version__, baselines
 from .config import ExperimentConfig, config_to_text
 from .data import (EventLog, parse_event_log, sequences_to_matrix,
                    serialize_event_log, split_by_user, split_exposure,
@@ -35,7 +35,7 @@ TRAIN_LOG_FILE = "train_log.jsonl"
 METRICS_JSON = "metrics.json"
 METRICS_CSV = "metrics.csv"
 
-REVISION = "drorec-0.1.0"
+REVISION = f"drorec-{__version__}"
 
 
 def simulate(config: ExperimentConfig, out_dir: Path) -> tuple[EventLog, GroundTruthWorld]:
@@ -124,12 +124,13 @@ def train_backbone(config: ExperimentConfig, out_dir: Path,
     out_dir = Path(out_dir)
     if data is None:
         data = prepare(config, load_log(out_dir))
+    catalog = data.log.catalog
     if expo_sim is None and config.method != "none":
-        expo_sim = ExposureSimulator.load(out_dir / EXPO_SIM_FILE)
+        expo_sim = ExposureSimulator.load(out_dir / EXPO_SIM_FILE, catalog)
 
-    model = SeqModel(data.log.catalog.n_items, config.embedding_dim,
+    model = SeqModel(catalog.n_items, config.embedding_dim,
                      config.max_click_len, config.backbone, seed=config.seed,
-                     align_heads=True)
+                     align_heads=True, fingerprint=catalog.fingerprint)
     kwargs = dict(epochs=config.epochs, lr=config.lr, beta2=config.beta2,
                   batch_size=config.batch_size, seed=config.seed,
                   log_path=out_dir / TRAIN_LOG_FILE)
@@ -139,10 +140,12 @@ def train_backbone(config: ExperimentConfig, out_dir: Path,
         # The fine-tune uses a fresh optimizer with slower second-moment
         # decay (fine_beta2) so the robust term's initial gradient spike
         # stays in the denominator instead of being renormalized away.
+        # Both phases write one log, with the epochs numbered across them.
         train_model(model, data.train_seqs, method="none",
                     epochs=config.warmup_epochs, lr=config.lr,
                     beta2=config.beta2, batch_size=config.batch_size,
-                    seed=config.seed)
+                    seed=config.seed, log_path=out_dir / TRAIN_LOG_FILE,
+                    phase="warmup")
         model.realign_heads()
         q0_steps = None
         if config.a != 0.0:
@@ -152,7 +155,8 @@ def train_backbone(config: ExperimentConfig, out_dir: Path,
                     epochs=config.epochs - config.warmup_epochs,
                     lr=config.lr, beta2=config.fine_beta2,
                     batch_size=config.batch_size, seed=config.seed + 1,
-                    log_path=out_dir / TRAIN_LOG_FILE)
+                    log_path=out_dir / TRAIN_LOG_FILE, phase="robust",
+                    first_epoch=config.warmup_epochs)
     elif config.method in ("ips", "ips_c", "relmf"):
         provider = baselines.PropensityProvider(expo_sim)
         prop = provider.for_steps(data.train_seqs)
@@ -177,9 +181,9 @@ def evaluate(config: ExperimentConfig, out_dir: Path,
     if data is None:
         data = prepare(config, load_log(out_dir))
     if model is None:
-        model = SeqModel.load(out_dir / MODEL_FILE)
+        model = SeqModel.load(out_dir / MODEL_FILE, data.log.catalog)
     if eval_sim is None:
-        eval_sim = ExposureSimulator.load(out_dir / EVAL_SIM_FILE)
+        eval_sim = ExposureSimulator.load(out_dir / EVAL_SIM_FILE, data.log.catalog)
 
     q0 = eval_sim.q0_all_positions(data.test_prefix_mat)[:, -1, :]
     rho = q0[np.arange(len(data.test_targets)), data.test_targets - 1]

@@ -5,6 +5,7 @@ overestimation penalty, and robustness-weight sanity).
 Each criterion prints one PASS/FAIL line on the real stdout so the
 verdicts are visible even under pytest's output capture.  The
 multi-seed study behind criteria 6-10 runs once in a session fixture.
+Every test here is marked ``slow``; ``pytest -m "not slow"`` skips them.
 """
 
 import copy
@@ -25,6 +26,8 @@ from drorec.model import SeqModel
 from drorec.nn import check_gradients, sigmoid, softmax
 from drorec.synthworld import (LoggingPolicy, generate_world, oracle_evaluate,
                                run_feedback_loop)
+
+pytestmark = pytest.mark.slow
 
 A_SMALL = (0.1, 1.0)
 A_LARGE = (100.0, 1000.0)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from drorec.data import CLICK, EXPOSURE, Catalog, Event, EventLog
+from drorec.data import (CLICK, EXPOSURE, Catalog, CatalogMismatchError, Event,
+                         EventLog)
 from drorec.exposure import (ExposureSimulator, LeakageError, PopularityTable,
                              build_simulator, check_no_leakage,
                              popularity_from, train_exposure_component)
@@ -104,6 +105,17 @@ def test_simulator_save_load_bit_exact(tmp_path, sim_setup):
         assert np.array_equal(loaded.component_a.params[k], v)
     prefix = [1, 3, 2]
     np.testing.assert_array_equal(loaded.mu0_vector(prefix), sim.mu0_vector(prefix))
+
+
+def test_simulator_checkpoint_names_its_catalog(tmp_path, sim_setup):
+    log, sim = sim_setup
+    path = tmp_path / "sim.npz"
+    sim.save(path)
+    loaded = ExposureSimulator.load(path, log.catalog)
+    assert loaded.component_b.fingerprint == log.catalog.fingerprint
+    shuffled = Catalog(log.catalog.user_ids, log.catalog.item_ids[::-1])
+    with pytest.raises(CatalogMismatchError):
+        ExposureSimulator.load(path, shuffled)
 
 
 def test_q0_all_positions_rows_normalized(sim_setup):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from drorec.data import Catalog, CatalogMismatchError
 from drorec.model import EmptySequenceError, SeqModel
 from drorec.nn import sigmoid
 
@@ -19,6 +20,20 @@ def test_save_load_bit_exact(tmp_path, arch):
         assert np.array_equal(loaded.params[k], v)
     seq = [0, 0, 1, 2, 3]
     np.testing.assert_array_equal(loaded.encode(seq), model.encode(seq))
+
+
+def test_checkpoint_checked_against_catalog(tmp_path):
+    catalog = Catalog(["u0"], [f"i{j}" for j in range(7)])
+    model = SeqModel(7, 6, 5, "recurrent", fingerprint=catalog.fingerprint)
+    path = tmp_path / "model.npz"
+    model.save(path)
+    assert SeqModel.load(path, catalog).fingerprint == catalog.fingerprint
+    other = Catalog(["u0"], [f"i{j}" for j in (1, 0, 2, 3, 4, 5, 6)])
+    with pytest.raises(CatalogMismatchError, match=other.fingerprint):
+        SeqModel.load(path, other)
+    SeqModel(7, 6, 5, "recurrent").save(path)        # no catalog recorded
+    with pytest.raises(CatalogMismatchError, match="unrecorded"):
+        SeqModel.load(path, catalog)
 
 
 def test_encode_rejects_all_pad():

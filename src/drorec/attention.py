@@ -67,7 +67,8 @@ def forward(params: dict[str, np.ndarray], x_items: np.ndarray, mask: np.ndarray
     k = _split_heads(x @ params["att_Wk"])
     v = _split_heads(x @ params["att_Wv"])
 
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= np.sqrt(dh)
     causal = np.tril(np.ones((T, T), dtype=bool))
     allowed = causal[None, None, :, :] & mask.astype(bool)[:, None, None, :]
     attn = masked_softmax(scores, allowed)
@@ -77,9 +78,12 @@ def forward(params: dict[str, np.ndarray], x_items: np.ndarray, mask: np.ndarray
     o = z_merged @ params["att_Wo"] + params["att_bo"]
     h1 = x + o
 
-    pre = h1 @ params["att_W1"] + params["att_b1"]
+    pre = h1 @ params["att_W1"]
+    pre += params["att_b1"]
     f = np.maximum(pre, 0.0)
-    h2 = h1 + f @ params["att_W2"] + params["att_b2"]
+    h2 = f @ params["att_W2"]
+    np.add(h1, h2, out=h2)
+    h2 += params["att_b2"]
 
     cache = {"x": x, "q": q, "k": k, "v": v, "attn": attn, "z_merged": z_merged,
              "h1": h1, "pre": pre, "f": f, "allowed": allowed}
@@ -121,15 +125,22 @@ def backward(params: dict[str, np.ndarray], cache: dict, dH: np.ndarray):
     dv = attn.transpose(0, 1, 3, 2) @ dz
     # softmax rows: dS = A * (dA - sum(dA * A)); all-zero rows stay zero
     row_dot = np.sum(dattn * attn, axis=-1, keepdims=True)
-    dscores = attn * (dattn - row_dot)
-    dq = dscores @ k / np.sqrt(dh)
-    dk = dscores.transpose(0, 1, 3, 2) @ q / np.sqrt(dh)
+    dscores = dattn
+    dscores -= row_dot
+    dscores *= attn
+    dq = dscores @ k
+    dq /= np.sqrt(dh)
+    dk = dscores.transpose(0, 1, 3, 2) @ q
+    dk /= np.sqrt(dh)
 
     dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
     grads["att_Wq"] = x.reshape(-1, d).T @ dq_m.reshape(-1, d)
     grads["att_Wk"] = x.reshape(-1, d).T @ dk_m.reshape(-1, d)
     grads["att_Wv"] = x.reshape(-1, d).T @ dv_m.reshape(-1, d)
-    dx += dq_m @ params["att_Wq"].T + dk_m @ params["att_Wk"].T + dv_m @ params["att_Wv"].T
+    dxa = dq_m @ params["att_Wq"].T
+    dxa += dk_m @ params["att_Wk"].T
+    dxa += dv_m @ params["att_Wv"].T
+    dx += dxa
 
     grads["att_pos"] = np.zeros_like(params["att_pos"])
     grads["att_pos"][-T:] = dx.sum(axis=0)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import METHODS, relmf_positive_grad
 from .model import HEADS, SeqModel
-from .nn import log_sigmoid, sigmoid
+from .nn import log_sigmoid, scatter_add_rows, sigmoid
 
 
 class NonFiniteLossError(RuntimeError):
@@ -110,11 +110,13 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
         q0 = q0_steps[valid]                        # (Np, n_items)
         gd = states @ p["W_dro"] + p["b_dro"]
         y = sigmoid(gd @ p["emb"][1:].T)            # (Np, n_items)
-        risks = y.copy()
         rows = np.arange(len(pos))
-        risks[rows, pos - 1] = 1.0 - y[rows, pos - 1]
-        top = risks.max(axis=1, keepdims=True)
-        weighted = q0 * np.exp(risks - top)
+        weighted = y.copy()                         # the risks, then q0 e^(risk - top)
+        weighted[rows, pos - 1] = 1.0 - y[rows, pos - 1]
+        top = weighted.max(axis=1, keepdims=True)
+        weighted -= top
+        np.exp(weighted, out=weighted)
+        weighted *= q0
         z = weighted.sum(axis=1, keepdims=True)
         loss_dro = float(np.sum(top + np.log(z)) / n_steps)
         dro_cache = (q0, gd, y, weighted, z, rows)
@@ -142,9 +144,9 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
     dr_neg = s_neg / n_steps
 
     dg = dr_pos[:, None] * p["emb"][pos] + dr_neg[:, None] * p["emb"][neg]
-    demb = np.zeros_like(p["emb"])
-    np.add.at(demb, pos, dr_pos[:, None] * g)
-    np.add.at(demb, neg, dr_neg[:, None] * g)
+    demb = scatter_add_rows(np.concatenate([pos, neg]),
+                            np.concatenate([dr_pos[:, None] * g, dr_neg[:, None] * g]),
+                            len(p["emb"]))
 
     grads = {"W_main": states.T @ dg, "b_main": dg.sum(axis=0),
              "W_dro": np.zeros_like(p["W_dro"]), "b_dro": np.zeros_like(p["b_dro"])}
@@ -152,10 +154,12 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
 
     if dro_cache is not None:
         q0, gd, y, weighted, z, rows = dro_cache
-        drisk = (a / n_steps) * weighted / z         # (Np, n_items)
-        dy = drisk.copy()
-        dy[rows, pos - 1] = -drisk[rows, pos - 1]
-        dlogits = dy * y * (1.0 - y)
+        dlogits = weighted * (a / n_steps)           # dL/drisk, (Np, n_items)
+        dlogits /= z
+        dlogits[rows, pos - 1] = -dlogits[rows, pos - 1]  # now dL/dy
+        dlogits *= y
+        np.subtract(1.0, y, out=y)
+        dlogits *= y
         dgd = dlogits @ p["emb"][1:]
         demb[1:] += dlogits.T @ gd
         grads["W_dro"] = states.T @ dgd

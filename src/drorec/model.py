@@ -12,7 +12,8 @@ import numpy as np
 
 from . import attention, gru
 from .data import Catalog
-from .nn import Adam, load_params, log_sigmoid, save_params, sigmoid, uniform_init
+from .nn import (Adam, load_params, log_sigmoid, save_params, scatter_add_rows,
+                 sigmoid, uniform_init)
 
 ARCHS = ("recurrent", "attention")
 HEADS = ("main", "dro")
@@ -89,8 +90,7 @@ class SeqModel:
             grads, dx = gru.backward(p, cache, dH)
         else:
             grads, dx = attention.backward(p, cache, dH)
-        demb = np.zeros_like(p["emb"])
-        np.add.at(demb, seqs, dx)
+        demb = scatter_add_rows(seqs, dx, len(p["emb"]))
         demb[0] = 0.0
         grads["emb"] = demb
         return grads
@@ -168,9 +168,9 @@ class SeqModel:
         dr_pos = sigmoid(r_pos) - 1.0
         dr_neg = sigmoid(r_neg)
         dg = dr_pos[:, None] * p["emb"][pos] + dr_neg[:, None] * p["emb"][neg]
-        demb = np.zeros_like(p["emb"])
-        np.add.at(demb, pos, dr_pos[:, None] * g)
-        np.add.at(demb, neg, dr_neg[:, None] * g)
+        demb = scatter_add_rows(np.concatenate([pos, neg]),
+                                np.concatenate([dr_pos[:, None] * g, dr_neg[:, None] * g]),
+                                len(p["emb"]))
 
         grads = {f"W_{h}": np.zeros_like(p[f"W_{h}"]) for h in HEADS}
         grads.update({f"b_{h}": np.zeros_like(p[f"b_{h}"]) for h in HEADS})

@@ -11,12 +11,11 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from
+    # e = e^-|x| <= 1, so neither overflows; whole-array passes only
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.maximum(x >= 0, e) / (1.0 + e)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -31,12 +30,27 @@ def masked_softmax(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     Rows with no allowed entry come back all-zero instead of NaN, which
     is what a fully-padded attention query needs.
     """
-    neg = np.where(allowed, scores, -np.inf)
-    row_max = np.max(neg, axis=-1, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    e = np.exp(neg - row_max) * allowed
+    e = np.where(allowed, scores, -np.inf)
+    row_max = np.max(e, axis=-1, keepdims=True)
+    row_max[~np.isfinite(row_max)] = 0.0
+    e -= row_max
+    np.exp(e, out=e)                  # disallowed entries become exactly 0
     denom = np.sum(e, axis=-1, keepdims=True)
-    return np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+    denom[denom == 0.0] = 1.0         # all-zero rows stay all-zero
+    e /= denom
+    return e
+
+
+def scatter_add_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Zeros (n_rows, d) plus each row of ``values`` added at its ``index``.
+
+    Same result as ``np.add.at`` on zeros, bit for bit: ``bincount``
+    also adds the contributions to each entry in input order.
+    """
+    d = values.shape[-1]
+    flat = (index.reshape(-1, 1) * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=values.reshape(-1), minlength=n_rows * d)
+    return sums.reshape(n_rows, d)
 
 
 def log_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -5,10 +5,16 @@ overestimation penalty, and robustness-weight sanity).
 Each criterion prints one PASS/FAIL line on the real stdout so the
 verdicts are visible even under pytest's output capture.  The
 multi-seed study behind criteria 6-10 runs once in a session fixture.
+Its seeds, and those of criterion 8, are independent and run in a few
+worker processes with one BLAS thread each, so the figures do not
+depend on how many cores the machine has.
 Every test here is marked ``slow``; ``pytest -m "not slow"`` skips them.
 """
 
+import contextlib
 import copy
+import multiprocessing
+import os
 import sys
 import time
 from collections import Counter
@@ -32,6 +38,54 @@ pytestmark = pytest.mark.slow
 A_SMALL = (0.1, 1.0)
 A_LARGE = (100.0, 1000.0)
 SEEDS = (0, 1, 2, 3, 4)
+
+# Worker processes for the per-seed runs: a few, so memory stays small
+# (about 460 MB each).  Each gets one BLAS thread, since the workers
+# already share the CPUs, and keeps freed numpy temporaries in its heap
+# rather than returning them to the OS and faulting fresh pages back in
+# on every training step, which costs over a quarter of the step time.
+WORKERS = min(3, len(SEEDS))
+# far above the 6-12 minutes the study takes on one or two cores: this
+# only ends a hang
+MAP_TIMEOUT_S = 3600.0
+WORKER_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "MALLOC_MMAP_THRESHOLD_": str(32 << 20),
+    "MALLOC_TRIM_THRESHOLD_": str(1 << 30),
+}
+
+
+@contextlib.contextmanager
+def _environ(values: dict):
+    saved = {k: os.environ.get(k) for k in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
+def _map_seeds(fn, label: str) -> dict:
+    """{seed: fn(seed)} over SEEDS, computed in fresh worker processes.
+
+    Leaving the pool, also on an error or a timeout, terminates its
+    workers, so a worker that hangs or dies cannot stall the test run.
+    """
+    deadline = time.monotonic() + MAP_TIMEOUT_S
+    results = {}
+    ctx = multiprocessing.get_context("spawn")
+    with _environ(WORKER_ENV), ctx.Pool(WORKERS) as pool:
+        pending = {seed: pool.apply_async(fn, (seed,)) for seed in SEEDS}
+        for seed, res in pending.items():
+            results[seed] = res.get(timeout=max(0.0, deadline - time.monotonic()))
+            print(f"{label} seed {seed} done", file=sys.__stdout__, flush=True)
+    return results
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -274,69 +328,70 @@ def study():
     All weights branch off the same warmed-up model, so within a seed
     the arms differ only through the robust term — a paired comparison.
     """
-    rows = {}
-    for seed in SEEDS:
-        cfg = ExperimentConfig(seed=seed)
-        world = generate_world(cfg.n_users, cfg.n_items, cfg.latent_dim, seed)
-        policy = LoggingPolicy(kind=cfg.policy, slate_size=cfg.slate_size,
-                               rounds=cfg.rounds)
-        log = run_feedback_loop(world, policy, seed=seed)
-        data = pipeline.prepare(cfg, log)
-        cat = log.catalog
+    return _map_seeds(_study_seed, "study")
 
-        prefixes, uids, henc_rows = [], [], []
-        for u in cat.user_ids:
-            s = index_sequences(log, [u])[0]
-            if len(s) < 2:
-                continue
-            prefixes.append(s[:-1])
-            uids.append(cat.user_index(u))
-            expo = Counter(log.exposure_seq(u))
-            clicked = set(log.interaction_seq(u))
-            henc_rows.append([cat.item_index(i) for i, n in expo.items()
-                              if n >= 3 and i not in clicked])
-        pre_mat = sequences_to_matrix(prefixes, cfg.max_click_len)
 
-        sim = build_simulator(data.expo_part, cat, forbidden=data.eval_part,
-                              dim=cfg.expo_dim, max_len=cfg.max_expo_len,
-                              prefix_len=cfg.max_click_len, beta=cfg.beta,
-                              epochs=cfg.expo_epochs, lr=cfg.lr,
-                              batch_size=cfg.batch_size, seed=seed)
-        q0 = sim.q0_all_positions(data.train_seqs)[:, :-1, :]
+def _study_seed(seed: int) -> dict:
+    """One seed of the study: {a: its figures} for every weight a."""
+    cfg = ExperimentConfig(seed=seed)
+    world = generate_world(cfg.n_users, cfg.n_items, cfg.latent_dim, seed)
+    policy = LoggingPolicy(kind=cfg.policy, slate_size=cfg.slate_size,
+                           rounds=cfg.rounds)
+    log = run_feedback_loop(world, policy, seed=seed)
+    data = pipeline.prepare(cfg, log)
+    cat = log.catalog
 
-        base = SeqModel(cat.n_items, cfg.embedding_dim, cfg.max_click_len,
-                        cfg.backbone, seed=seed, align_heads=True)
-        train_model(base, data.train_seqs, method="none",
-                    epochs=cfg.warmup_epochs, lr=cfg.lr, beta2=cfg.beta2,
-                    batch_size=cfg.batch_size, seed=seed)
-        base.realign_heads()
+    prefixes, uids, henc_rows = [], [], []
+    for u in cat.user_ids:
+        s = index_sequences(log, [u])[0]
+        if len(s) < 2:
+            continue
+        prefixes.append(s[:-1])
+        uids.append(cat.user_index(u))
+        expo = Counter(log.exposure_seq(u))
+        clicked = set(log.interaction_seq(u))
+        henc_rows.append([cat.item_index(i) for i, n in expo.items()
+                          if n >= 3 and i not in clicked])
+    pre_mat = sequences_to_matrix(prefixes, cfg.max_click_len)
 
-        row = {}
-        for a in (0.0,) + A_SMALL + A_LARGE:
-            model = copy.deepcopy(base)
-            train_model(model, data.train_seqs, method="dro", a=a,
-                        q0_steps=q0 if a else None,
-                        epochs=cfg.epochs - cfg.warmup_epochs,
-                        lr=cfg.lr, beta2=cfg.fine_beta2,
-                        batch_size=cfg.batch_size, seed=seed + 1)
-            H, _ = model.forward_states(pre_mat)
-            states = H[:, -1, :]
-            logits = model.all_logits(states, "main")
-            order = np.argsort(-logits, axis=1, kind="stable") + 1
-            y_dro = sigmoid(model.all_logits(states, "dro"))
-            henc_scores = [y_dro[i, v - 1]
-                           for i, row_items in enumerate(henc_rows)
-                           for v in row_items]
-            row[a] = {
-                "ndcg10": oracle_evaluate(model, world, prefixes, uids, 10, "ndcg"),
-                "ndcg20": oracle_evaluate(model, world, prefixes, uids, 20, "ndcg"),
-                "cov20": coverage([order[i] for i in range(len(order))],
-                                  20, cat.n_items),
-                "y_henc": float(np.mean(henc_scores)),
-            }
-        rows[seed] = row
-        print(f"study seed {seed} done", file=sys.__stdout__, flush=True)
-    return rows
+    sim = build_simulator(data.expo_part, cat, forbidden=data.eval_part,
+                          dim=cfg.expo_dim, max_len=cfg.max_expo_len,
+                          prefix_len=cfg.max_click_len, beta=cfg.beta,
+                          epochs=cfg.expo_epochs, lr=cfg.lr,
+                          batch_size=cfg.batch_size, seed=seed)
+    q0 = sim.q0_all_positions(data.train_seqs)[:, :-1, :]
+
+    base = SeqModel(cat.n_items, cfg.embedding_dim, cfg.max_click_len,
+                    cfg.backbone, seed=seed, align_heads=True)
+    train_model(base, data.train_seqs, method="none",
+                epochs=cfg.warmup_epochs, lr=cfg.lr, beta2=cfg.beta2,
+                batch_size=cfg.batch_size, seed=seed)
+    base.realign_heads()
+
+    row = {}
+    for a in (0.0,) + A_SMALL + A_LARGE:
+        model = copy.deepcopy(base)
+        train_model(model, data.train_seqs, method="dro", a=a,
+                    q0_steps=q0 if a else None,
+                    epochs=cfg.epochs - cfg.warmup_epochs,
+                    lr=cfg.lr, beta2=cfg.fine_beta2,
+                    batch_size=cfg.batch_size, seed=seed + 1)
+        H, _ = model.forward_states(pre_mat)
+        states = H[:, -1, :]
+        logits = model.all_logits(states, "main")
+        order = np.argsort(-logits, axis=1, kind="stable") + 1
+        y_dro = sigmoid(model.all_logits(states, "dro"))
+        henc_scores = [y_dro[i, v - 1]
+                       for i, row_items in enumerate(henc_rows)
+                       for v in row_items]
+        row[a] = {
+            "ndcg10": oracle_evaluate(model, world, prefixes, uids, 10, "ndcg"),
+            "ndcg20": oracle_evaluate(model, world, prefixes, uids, 20, "ndcg"),
+            "cov20": coverage([order[i] for i in range(len(order))],
+                              20, cat.n_items),
+            "y_henc": float(np.mean(henc_scores)),
+        }
+    return row
 
 
 def _simulator_recalls(cfg, data, cat, sim):
@@ -418,20 +473,7 @@ def test_criterion_8_simulator_quality():
     t0 = time.perf_counter()
     wins = {"attention": 0, "recurrent": 0}
     mixes = []
-    for seed in SEEDS:
-        cfg = ExperimentConfig(seed=seed)
-        world = generate_world(cfg.n_users, cfg.n_items, cfg.latent_dim, seed)
-        policy = LoggingPolicy(kind="popularity", slate_size=cfg.slate_size,
-                               rounds=cfg.rounds)
-        log = run_feedback_loop(world, policy, seed=seed)
-        data = pipeline.prepare(cfg, log)
-        sim = build_simulator(data.expo_part, log.catalog,
-                              forbidden=data.eval_part, dim=cfg.expo_dim,
-                              max_len=cfg.max_expo_len,
-                              prefix_len=cfg.max_click_len, beta=cfg.beta,
-                              epochs=cfg.expo_epochs, lr=cfg.lr,
-                              batch_size=cfg.batch_size, seed=seed)
-        rec = _simulator_recalls(cfg, data, log.catalog, sim)
+    for rec in _map_seeds(_simulator_seed, "simulator").values():
         mixes.append(rec["mixture"])
         for single in wins:
             wins[single] += rec["mixture"] > rec[single]
@@ -442,6 +484,23 @@ def test_criterion_8_simulator_quality():
              + "; ".join(f"mixture > {k} on {w}/5 seeds"
                          for k, w in wins.items())
              + f"; {dt:.0f}s (budget 600s)")
+
+
+def _simulator_seed(seed: int) -> dict:
+    """Held-out recalls of one seed's simulator on a popularity-policy log."""
+    cfg = ExperimentConfig(seed=seed)
+    world = generate_world(cfg.n_users, cfg.n_items, cfg.latent_dim, seed)
+    policy = LoggingPolicy(kind="popularity", slate_size=cfg.slate_size,
+                           rounds=cfg.rounds)
+    log = run_feedback_loop(world, policy, seed=seed)
+    data = pipeline.prepare(cfg, log)
+    sim = build_simulator(data.expo_part, log.catalog,
+                          forbidden=data.eval_part, dim=cfg.expo_dim,
+                          max_len=cfg.max_expo_len,
+                          prefix_len=cfg.max_click_len, beta=cfg.beta,
+                          epochs=cfg.expo_epochs, lr=cfg.lr,
+                          batch_size=cfg.batch_size, seed=seed)
+    return _simulator_recalls(cfg, data, log.catalog, sim)
 
 
 def test_criterion_9_overestimation_penalty(study):

@@ -16,14 +16,6 @@ from .nn import masked_softmax, uniform_init
 N_HEADS = 2
 
 
-def weight_names(with_pos: bool = True) -> tuple[str, ...]:
-    names = ("att_Wq", "att_Wk", "att_Wv", "att_Wo", "att_bo",
-             "att_W1", "att_b1", "att_W2", "att_b2")
-    if with_pos:
-        names = ("att_pos",) + names
-    return names
-
-
 def init_weights(rng: np.random.Generator, dim: int, max_len: int,
                  scale: float = 0.1) -> dict[str, np.ndarray]:
     if dim % N_HEADS != 0:

@@ -58,7 +58,6 @@ class ExperimentConfig:
 
     k_list: tuple[int, ...] = (5, 10, 20)
     seed: int = 0
-    repeats: int = 3
 
     def __post_init__(self):
         if self.version != CONFIG_VERSION:
@@ -93,9 +92,7 @@ def _parse_value(raw: str, field: dataclasses.Field):
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    lines = [f"{f.name} = {_format_value(getattr(config, f.name))}"
-             for f in dataclasses.fields(config)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(config_to_text(config))
 
 
 def config_to_text(config: ExperimentConfig) -> str:

@@ -10,7 +10,7 @@ timestamp; anything else is treated as a corrupt log.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -128,8 +128,6 @@ class DatasetSplit:
     train_users: list[str]
     valid_users: list[str]
     test_users: list[str]
-    expo_sim_part: list[Event] = field(default_factory=list)
-    eval_sim_part: list[Event] = field(default_factory=list)
 
 
 def parse_event_log(stream: Iterable[str]) -> EventLog:
@@ -194,6 +192,15 @@ def serialize_event_log(log: EventLog) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def appearance_ordered(log: EventLog) -> EventLog:
+    """The same events under the catalog that parse_event_log gives their
+    serialization: users and items in order of first appearance."""
+    events = log.all_events()
+    users = list(dict.fromkeys(e.user for e in events))
+    items = list(dict.fromkeys(e.item for e in events))
+    return EventLog({u: log.events_by_user[u] for u in users}, Catalog(users, items))
+
+
 def split_by_user(log: EventLog, ratios: tuple[float, float, float], seed: int) -> DatasetSplit:
     """Partition users into train/valid/test by a seeded shuffle.
 
@@ -224,13 +231,12 @@ def split_by_user(log: EventLog, ratios: tuple[float, float, float], seed: int) 
     )
 
 
-def split_exposure(log: EventLog, fraction: float, seed: int = 0) -> tuple[list[Event], list[Event]]:
+def split_exposure(log: EventLog, fraction: float) -> tuple[list[Event], list[Event]]:
     """Split each user's exposure stream chronologically.
 
     The earliest ceil(fraction * n) exposures go to the first part (the
     one the exposure simulator trains on), the rest to the second (the
-    evaluation-simulator part).  The seed is accepted for interface
-    symmetry; the split itself is purely chronological.
+    evaluation-simulator part).
     """
     if not (0.0 < fraction < 1.0):
         raise ConfigurationError(f"exposure fraction must be in (0, 1), got {fraction}")
@@ -260,14 +266,7 @@ def sequences_to_matrix(seqs: list[list[int]], max_len: int) -> np.ndarray:
     return out
 
 
-def index_sequences(log: EventLog, users: list[str], kind: str = CLICK) -> list[list[int]]:
-    """Per-user item-index sequences (clicks or exposures) for the given users."""
+def index_sequences(log: EventLog, users: list[str]) -> list[list[int]]:
+    """Per-user clicked item-index sequences for the given users."""
     cat = log.catalog
-    seqs = []
-    for u in users:
-        if kind == CLICK:
-            items = log.interaction_seq(u)
-        else:
-            items = log.exposure_seq(u)
-        seqs.append([cat.item_index(v) for v in items])
-    return seqs
+    return [[cat.item_index(v) for v in log.interaction_seq(u)] for u in users]

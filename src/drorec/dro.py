@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .baselines import METHODS, relmf_positive_grad
-from .model import HEADS, SeqModel
+from .model import SeqModel
 from .nn import log_sigmoid, scatter_add_rows, sigmoid
 
 
@@ -167,9 +167,7 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
         dstates = dstates + dgd @ p["W_dro"].T
 
     dH = np.zeros_like(H)
-    dH_steps = np.zeros_like(H[:, :-1, :])
-    dH_steps[valid] = dstates
-    dH[:, :-1, :] = dH_steps
+    dH[:, :-1, :][valid] = dstates
     enc_grads = model.backward_states(cache, dH, seqs, p)
     enc_grads["emb"] += demb
     enc_grads["emb"][0] = 0.0

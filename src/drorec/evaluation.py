@@ -32,15 +32,16 @@ def rank_items(model, prefix) -> np.ndarray:
     return order + 1
 
 
-def target_ranks(model, seqs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """1-based rank of each user's target item under the model's scores."""
-    H, _ = model.forward_states(seqs)
-    logits = model.all_logits(H[:, -1, :], "main")       # (B, n_items)
+def target_ranks(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """1-based rank of each row's target item index among its item logits.
+
+    logits is (B, n_items); ties rank the lower item index first.
+    """
     rows = np.arange(len(targets))
     t_logit = logits[rows, targets - 1]
     better = (logits > t_logit[:, None]).sum(axis=1)
     tied_before = ((logits == t_logit[:, None])
-                   & (np.arange(1, model.n_items + 1)[None, :] < targets[:, None])).sum(axis=1)
+                   & (np.arange(1, logits.shape[1] + 1)[None, :] < targets[:, None])).sum(axis=1)
     return better + tied_before + 1
 
 
@@ -200,7 +201,9 @@ def evaluate_model(model, seqs: np.ndarray, targets: np.ndarray,
                    seed: int = 0, config_hash: str = "",
                    revision: str = "") -> MetricsReport:
     """Full report for one frozen model on held-out (prefix, target) pairs."""
-    ranks = target_ranks(model, seqs, targets)
+    H, _ = model.forward_states(seqs)
+    logits = model.all_logits(H[:, -1, :], "main")       # (B, n_items)
+    ranks = target_ranks(logits, targets)
     rho_safe, n_floored = floor_propensities(rho)
     values: dict[str, dict[str, float]] = {}
     for kind in METRIC_KINDS:
@@ -210,11 +213,8 @@ def evaluate_model(model, seqs: np.ndarray, targets: np.ndarray,
                 "naive": float(c.mean()),
                 "snips": snips_evaluate(c, rho_safe, snips_k),
             }
-    H, _ = model.forward_states(seqs)
-    logits = model.all_logits(H[:, -1, :], "main")
     order = np.argsort(-logits, axis=1, kind="stable") + 1
-    cov = {k: coverage([order[u] for u in range(len(order))], k, model.n_items)
-           for k in k_list}
+    cov = {k: coverage(order, k, model.n_items) for k in k_list}
     return MetricsReport(values=values, coverage=cov, n_users=len(targets),
                          snips_k=snips_k, seed=seed, config_hash=config_hash,
                          revision=revision, n_floored_propensities=n_floored)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Catalog, Event, sequences_to_matrix
+from .data import Catalog, Event, sequences_to_matrix, truncate_pad
 from .model import SeqModel
 from .nn import load_params, save_params, softmax
 
@@ -25,10 +25,6 @@ FORMAT_VERSION = 2
 
 class LeakageError(ValueError):
     """Simulator training input overlaps the evaluation partition."""
-
-
-class DegeneratePopularityError(ValueError):
-    """No exposure counts at all."""
 
 
 @dataclass
@@ -42,15 +38,20 @@ class PopularityTable:
     def degenerate(self) -> bool:
         return self.counts.max(initial=0) == 0
 
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> "PopularityTable":
+        """Scores are counts / max count, all zero without any count."""
+        top = counts.max(initial=0)
+        scores = counts / top if top > 0 else np.zeros(len(counts))
+        return cls(counts=counts, scores=scores)
+
 
 def popularity_from(events: list[Event], catalog: Catalog) -> PopularityTable:
-    """Count exposures per item; scores are counts / max count."""
+    """Count exposures per item into a popularity table."""
     counts = np.zeros(catalog.n_items, dtype=np.int64)
     for e in events:
         counts[catalog.item_index(e.item) - 1] += 1
-    top = counts.max(initial=0)
-    scores = counts / top if top > 0 else np.zeros(catalog.n_items)
-    return PopularityTable(counts=counts, scores=scores)
+    return PopularityTable.from_counts(counts)
 
 
 def exposure_sequences(events: list[Event], catalog: Catalog) -> list[list[int]]:
@@ -128,8 +129,6 @@ class ExposureSimulator:
 
     def mu0_vector(self, prefix) -> np.ndarray:
         """mu0 over the catalog for one interaction prefix (list of indices)."""
-        from .data import truncate_pad
-
         arr = np.asarray(truncate_pad(list(prefix), self.prefix_len), dtype=np.int64)
         if not np.any(arr > 0):
             raise ValueError("empty interaction prefix")
@@ -170,9 +169,7 @@ class ExposureSimulator:
     @classmethod
     def load(cls, path, catalog: Catalog | None = None) -> "ExposureSimulator":
         """Read a checkpoint; with ``catalog``, first check it was trained on it."""
-        arrays, meta = load_params(path)
-        if int(meta["format_version"]) != FORMAT_VERSION:
-            raise ValueError(f"unsupported simulator format {meta['format_version']}")
+        arrays, meta = load_params(path, FORMAT_VERSION)
         fingerprint = str(meta["catalog"])
         if catalog is not None:
             catalog.check_fingerprint(fingerprint, path)
@@ -183,12 +180,9 @@ class ExposureSimulator:
                                         n_items=meta["n_items"], dim=meta["dim"],
                                         max_len=meta[f"{c}_max_len"],
                                         fingerprint=fingerprint)
-        counts = arrays["pop_counts"]
-        top = counts.max(initial=0)
-        pop = PopularityTable(counts=counts,
-                              scores=counts / top if top > 0 else np.zeros(len(counts)))
         return cls(component_a=comps["a"], component_b=comps["b"],
-                   popularity=pop, beta=float(meta["beta"]),
+                   popularity=PopularityTable.from_counts(arrays["pop_counts"]),
+                   beta=float(meta["beta"]),
                    prefix_len=int(meta["prefix_len"]))
 
 

@@ -12,11 +12,11 @@ import numpy as np
 
 from . import attention, gru
 from .data import Catalog
-from .nn import (Adam, load_params, log_sigmoid, save_params, scatter_add_rows,
-                 sigmoid, uniform_init)
+from .nn import Adam, load_params, save_params, scatter_add_rows, uniform_init
 
 ARCHS = ("recurrent", "attention")
 HEADS = ("main", "dro")
+FORMAT_VERSION = 1
 
 
 class EmptySequenceError(ValueError):
@@ -130,64 +130,6 @@ class SeqModel:
         return g @ p["emb"][1:].T
 
     # ------------------------------------------------------------------
-    # training-facing objectives
-
-    def bce_loss(self, batch, params: dict | None = None) -> float:
-        """BCE over (prefix, positive, negative) triples.
-
-        The prefixes are padded index sequences; the loss sums
-        -log sigma(r+) - log(1 - sigma(r-)) over the batch.
-        """
-        if len(batch) == 0:
-            raise ValueError("empty batch")
-        p = self.params if params is None else params
-        prefixes = np.stack([np.asarray(b[0], dtype=np.int64) for b in batch])
-        pos = np.array([b[1] for b in batch], dtype=np.int64)
-        neg = np.array([b[2] for b in batch], dtype=np.int64)
-        H, _ = self.forward_states(prefixes, p)
-        state = H[:, -1, :]
-        g = self.head_out(state, "main", p)
-        r_pos = np.sum(g * p["emb"][pos], axis=1)
-        r_neg = np.sum(g * p["emb"][neg], axis=1)
-        return float(-np.sum(log_sigmoid(r_pos) + log_sigmoid(-r_neg)))
-
-    def bce_gradients(self, batch, params: dict | None = None) -> dict[str, np.ndarray]:
-        """Analytic gradients of bce_loss; finite-difference checked in tests."""
-        if len(batch) == 0:
-            raise ValueError("empty batch")
-        p = self.params if params is None else params
-        prefixes = np.stack([np.asarray(b[0], dtype=np.int64) for b in batch])
-        pos = np.array([b[1] for b in batch], dtype=np.int64)
-        neg = np.array([b[2] for b in batch], dtype=np.int64)
-        H, cache = self.forward_states(prefixes, p)
-        state = H[:, -1, :]
-        g = self.head_out(state, "main", p)
-        r_pos = np.sum(g * p["emb"][pos], axis=1)
-        r_neg = np.sum(g * p["emb"][neg], axis=1)
-
-        dr_pos = sigmoid(r_pos) - 1.0
-        dr_neg = sigmoid(r_neg)
-        dg = dr_pos[:, None] * p["emb"][pos] + dr_neg[:, None] * p["emb"][neg]
-        demb = scatter_add_rows(np.concatenate([pos, neg]),
-                                np.concatenate([dr_pos[:, None] * g, dr_neg[:, None] * g]),
-                                len(p["emb"]))
-
-        grads = {f"W_{h}": np.zeros_like(p[f"W_{h}"]) for h in HEADS}
-        grads.update({f"b_{h}": np.zeros_like(p[f"b_{h}"]) for h in HEADS})
-        grads["W_main"] = state.T @ dg
-        grads["b_main"] = dg.sum(axis=0)
-
-        dstate = dg @ p["W_main"].T
-        dH = np.zeros_like(H)
-        dH[:, -1, :] = dstate
-        enc_grads = self.backward_states(cache, dH, prefixes, p)
-        enc_grads["emb"] += demb
-        enc_grads["emb"][0] = 0.0
-        for k, v in grads.items():
-            enc_grads[k] = enc_grads.get(k, 0.0) + v
-        return enc_grads
-
-    # ------------------------------------------------------------------
     # lifecycle
 
     def realign_heads(self) -> None:
@@ -212,7 +154,8 @@ class SeqModel:
         return self
 
     def save(self, path) -> None:
-        save_params(path, self.params, arch=self.arch, n_items=self.n_items,
+        save_params(path, self.params, format_version=FORMAT_VERSION,
+                    arch=self.arch, n_items=self.n_items,
                     dim=self.dim, max_len=self.max_len, catalog=self.fingerprint)
 
     @classmethod
@@ -232,8 +175,8 @@ class SeqModel:
     @classmethod
     def load(cls, path, catalog: Catalog | None = None) -> "SeqModel":
         """Read a checkpoint; with ``catalog``, first check it was trained on it."""
-        params, meta = load_params(path)
-        fingerprint = str(meta.get("catalog", ""))
+        params, meta = load_params(path, FORMAT_VERSION)
+        fingerprint = str(meta["catalog"])
         if catalog is not None:
             catalog.check_fingerprint(fingerprint, path)
         return cls.restore(params, arch=meta["arch"], n_items=meta["n_items"],

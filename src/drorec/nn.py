@@ -101,8 +101,12 @@ def save_params(path, params: dict[str, np.ndarray], **meta) -> None:
     np.savez(path, **arrays)
 
 
-def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Bit-exact inverse of save_params; returns (params, metadata)."""
+def load_params(path, format_version: int | None = None) -> tuple[dict[str, np.ndarray], dict]:
+    """Bit-exact inverse of save_params; returns (params, metadata).
+
+    With ``format_version``, a checkpoint whose ``format_version``
+    metadata is missing or different raises ValueError.
+    """
     with np.load(path, allow_pickle=False) as data:
         params, meta = {}, {}
         for k in data.files:
@@ -110,6 +114,9 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
                 meta[k[len("__meta__"):]] = data[k][()]
             else:
                 params[k] = data[k]
+    found = meta.get("format_version", "(unrecorded)")
+    if format_version is not None and found != format_version:
+        raise ValueError(f"{path}: checkpoint format {found}, expected {format_version}")
     return params, meta
 
 

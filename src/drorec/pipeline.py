@@ -17,9 +17,9 @@ import numpy as np
 
 from . import __version__, baselines
 from .config import ExperimentConfig, config_to_text
-from .data import (EventLog, parse_event_log, sequences_to_matrix,
-                   serialize_event_log, split_by_user, split_exposure,
-                   index_sequences)
+from .data import (EventLog, appearance_ordered, index_sequences,
+                   parse_event_log, sequences_to_matrix, serialize_event_log,
+                   split_by_user, split_exposure)
 from .dro import train_model
 from .evaluation import config_fingerprint, evaluate_model
 from .exposure import ExposureSimulator, build_simulator
@@ -39,7 +39,8 @@ REVISION = f"drorec-{__version__}"
 
 
 def simulate(config: ExperimentConfig, out_dir: Path) -> tuple[EventLog, GroundTruthWorld]:
-    """Generate the synthetic world and its feedback-loop event log."""
+    """Generate the synthetic world and its feedback-loop event log, the
+    log indexed as `load_log` indexes the events file written here."""
     out_dir = Path(out_dir)
     if not out_dir.parent.exists():
         raise FileNotFoundError(f"output location {out_dir.parent} does not exist")
@@ -51,7 +52,7 @@ def simulate(config: ExperimentConfig, out_dir: Path) -> tuple[EventLog, GroundT
     log = run_feedback_loop(world, policy, seed=config.seed)
     (out_dir / EVENTS_FILE).write_text(serialize_event_log(log))
     world.save(out_dir / WORLD_FILE)
-    return log, world
+    return appearance_ordered(log), world
 
 
 def load_log(out_dir: Path) -> EventLog:
@@ -63,22 +64,18 @@ def load_log(out_dir: Path) -> EventLog:
 @dataclass
 class PreparedData:
     log: EventLog
-    train_users: list[str]
-    valid_users: list[str]
-    test_users: list[str]
     expo_part: list
     eval_part: list
     train_seqs: np.ndarray          # (n_train, max_click_len)
-    test_prefixes: list[list[int]]  # clicks minus the held-out last one
     test_targets: np.ndarray        # held-out next click per test user
-    test_prefix_mat: np.ndarray
+    test_prefix_mat: np.ndarray     # their clicks before it
 
 
 def prepare(config: ExperimentConfig, log: EventLog) -> PreparedData:
     """User split, exposure split, and padded training/test sequences."""
     split = split_by_user(log, (config.train_ratio, config.valid_ratio,
                                 config.test_ratio), seed=config.seed)
-    expo_part, eval_part = split_exposure(log, config.expo_fraction, seed=config.seed)
+    expo_part, eval_part = split_exposure(log, config.expo_fraction)
 
     train_clicks = index_sequences(log, split.train_users)
     train_clicks = [s for s in train_clicks if len(s) >= 2]
@@ -90,11 +87,26 @@ def prepare(config: ExperimentConfig, log: EventLog) -> PreparedData:
             prefixes.append(seq[:-1])
             targets.append(seq[-1])
     return PreparedData(
-        log=log, train_users=split.train_users, valid_users=split.valid_users,
-        test_users=split.test_users, expo_part=expo_part, eval_part=eval_part,
-        train_seqs=train_seqs, test_prefixes=prefixes,
+        log=log, expo_part=expo_part, eval_part=eval_part,
+        train_seqs=train_seqs,
         test_targets=np.array(targets, dtype=np.int64),
         test_prefix_mat=sequences_to_matrix(prefixes, config.max_click_len))
+
+
+def fit_simulator(config: ExperimentConfig, data: PreparedData,
+                  evaluation: bool = False) -> ExposureSimulator:
+    """The exposure simulator, fit on the earlier exposure part, or with
+    ``evaluation`` the evaluation simulator, fit on the later part; neither
+    may see the other's events."""
+    events, forbidden = data.expo_part, data.eval_part
+    if evaluation:
+        events, forbidden = forbidden, events
+    return build_simulator(events, data.log.catalog, forbidden=forbidden,
+                           dim=config.expo_dim, max_len=config.max_expo_len,
+                           prefix_len=config.max_click_len, beta=config.beta,
+                           epochs=config.expo_epochs, lr=config.lr,
+                           batch_size=config.batch_size,
+                           seed=config.seed + (1000 if evaluation else 0))
 
 
 def train_exposure(config: ExperimentConfig, out_dir: Path,
@@ -103,18 +115,50 @@ def train_exposure(config: ExperimentConfig, out_dir: Path,
     out_dir = Path(out_dir)
     if data is None:
         data = prepare(config, load_log(out_dir))
-    catalog = data.log.catalog
-    common = dict(dim=config.expo_dim, max_len=config.max_expo_len,
-                  prefix_len=config.max_click_len, beta=config.beta,
-                  epochs=config.expo_epochs, lr=config.lr,
-                  batch_size=config.batch_size)
-    expo_sim = build_simulator(data.expo_part, catalog, forbidden=data.eval_part,
-                               seed=config.seed, **common)
-    eval_sim = build_simulator(data.eval_part, catalog, forbidden=data.expo_part,
-                               seed=config.seed + 1000, **common)
+    expo_sim = fit_simulator(config, data)
+    eval_sim = fit_simulator(config, data, evaluation=True)
     expo_sim.save(out_dir / EXPO_SIM_FILE)
     eval_sim.save(out_dir / EVAL_SIM_FILE)
     return expo_sim, eval_sim
+
+
+def _new_model(config: ExperimentConfig, data: PreparedData) -> SeqModel:
+    """The untrained recommender of the run, both heads starting equal."""
+    catalog = data.log.catalog
+    return SeqModel(catalog.n_items, config.embedding_dim, config.max_click_len,
+                    config.backbone, seed=config.seed, align_heads=True,
+                    fingerprint=catalog.fingerprint)
+
+
+def warm_start(config: ExperimentConfig, data: PreparedData,
+               log_path: Path | None = None) -> SeqModel:
+    """The base of the robust fine-tune: ``warmup_epochs`` of plain
+    training, then the dro head re-aligned to the trained main head."""
+    model = _new_model(config, data)
+    train_model(model, data.train_seqs, method="none",
+                epochs=config.warmup_epochs, lr=config.lr, beta2=config.beta2,
+                batch_size=config.batch_size, seed=config.seed,
+                log_path=log_path, phase="warmup")
+    model.realign_heads()
+    return model
+
+
+def robust_finetune(model: SeqModel, config: ExperimentConfig,
+                    data: PreparedData, q0_steps: np.ndarray | None,
+                    log_path: Path | None = None) -> None:
+    """Fine-tune a warm-started model in place with the robust term at
+    weight ``config.a`` over the per-step nominal exposure q0_steps.
+
+    A fresh optimizer with slower second-moment decay (fine_beta2) keeps
+    the robust term's initial gradient spike in the denominator instead
+    of renormalizing it away.
+    """
+    train_model(model, data.train_seqs, method="dro", a=config.a,
+                q0_steps=q0_steps if config.a != 0.0 else None,
+                epochs=config.epochs - config.warmup_epochs, lr=config.lr,
+                beta2=config.fine_beta2, batch_size=config.batch_size,
+                seed=config.seed + 1, log_path=log_path, phase="robust",
+                first_epoch=config.warmup_epochs)
 
 
 def train_backbone(config: ExperimentConfig, out_dir: Path,
@@ -124,50 +168,28 @@ def train_backbone(config: ExperimentConfig, out_dir: Path,
     out_dir = Path(out_dir)
     if data is None:
         data = prepare(config, load_log(out_dir))
-    catalog = data.log.catalog
     if expo_sim is None and config.method != "none":
-        expo_sim = ExposureSimulator.load(out_dir / EXPO_SIM_FILE, catalog)
+        expo_sim = ExposureSimulator.load(out_dir / EXPO_SIM_FILE, data.log.catalog)
 
-    model = SeqModel(catalog.n_items, config.embedding_dim,
-                     config.max_click_len, config.backbone, seed=config.seed,
-                     align_heads=True, fingerprint=catalog.fingerprint)
-    kwargs = dict(epochs=config.epochs, lr=config.lr, beta2=config.beta2,
-                  batch_size=config.batch_size, seed=config.seed,
-                  log_path=out_dir / TRAIN_LOG_FILE)
+    log_path = out_dir / TRAIN_LOG_FILE
     if config.method == "dro":
-        # warm start: plain training first, then robust fine-tuning from
-        # the trained model with the dro head re-aligned to the main head.
-        # The fine-tune uses a fresh optimizer with slower second-moment
-        # decay (fine_beta2) so the robust term's initial gradient spike
-        # stays in the denominator instead of being renormalized away.
-        # Both phases write one log, with the epochs numbered across them.
-        train_model(model, data.train_seqs, method="none",
-                    epochs=config.warmup_epochs, lr=config.lr,
-                    beta2=config.beta2, batch_size=config.batch_size,
-                    seed=config.seed, log_path=out_dir / TRAIN_LOG_FILE,
-                    phase="warmup")
-        model.realign_heads()
-        q0_steps = None
-        if config.a != 0.0:
-            q0_steps = expo_sim.q0_all_positions(data.train_seqs)[:, :-1, :]
-        train_model(model, data.train_seqs, method="dro", a=config.a,
-                    q0_steps=q0_steps,
-                    epochs=config.epochs - config.warmup_epochs,
-                    lr=config.lr, beta2=config.fine_beta2,
-                    batch_size=config.batch_size, seed=config.seed + 1,
-                    log_path=out_dir / TRAIN_LOG_FILE, phase="robust",
-                    first_epoch=config.warmup_epochs)
-    elif config.method in ("ips", "ips_c", "relmf"):
-        provider = baselines.PropensityProvider(expo_sim)
-        prop = provider.for_steps(data.train_seqs)
-        clip = None
+        model = warm_start(config, data, log_path)
+        q0_steps = (expo_sim.q0_all_positions(data.train_seqs)[:, :-1, :]
+                    if config.a != 0.0 else None)
+        robust_finetune(model, config, data, q0_steps, log_path)
+    else:
+        model = _new_model(config, data)
+        prop = clip = None
+        if config.method != "none":
+            prop = baselines.PropensityProvider(expo_sim).for_steps(data.train_seqs)
         if config.method == "ips_c":
             clip = baselines.median_exposure_clip(expo_sim, data.train_seqs,
                                                   seed=config.seed)
         train_model(model, data.train_seqs, method=config.method,
-                    prop_steps=prop, clip=clip, **kwargs)
-    else:
-        train_model(model, data.train_seqs, method="none", **kwargs)
+                    prop_steps=prop, clip=clip, epochs=config.epochs,
+                    lr=config.lr, beta2=config.beta2,
+                    batch_size=config.batch_size, seed=config.seed,
+                    log_path=log_path)
     model.save(out_dir / MODEL_FILE)
     return model
 

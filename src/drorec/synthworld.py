@@ -105,10 +105,6 @@ class LoggingPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
 
 
-def _select_slate(rng, scores: np.ndarray, m: int) -> np.ndarray:
-    return np.argsort(-scores, kind="stable")[:m]
-
-
 def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
                       seed: int) -> EventLog:
     """Simulate rounds of expose-then-click under the given policy.
@@ -164,7 +160,7 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
                 else:
                     scores = policy.pop_bonus * pop + noise
                 n_explore = int(round(policy.explore_eps * m))
-                top = _select_slate(rng, scores, m - n_explore)
+                top = np.argsort(-scores, kind="stable")[:m - n_explore]
                 if n_explore:
                     rest = np.setdiff1d(np.arange(n_items), top)
                     slate = np.concatenate([top, rng.choice(rest, size=n_explore,

@@ -2,9 +2,10 @@
 directional experiments (debiasing, coverage, simulator quality,
 overestimation penalty, and robustness-weight sanity).
 
-Each criterion prints one PASS/FAIL line on the real stdout so the
-verdicts are visible even under pytest's output capture.  The
-multi-seed study behind criteria 6-10 runs once in a session fixture.
+Each criterion prints one PASS/FAIL line; `conftest.py` repeats them in
+the terminal summary, so they are visible under pytest's output capture
+too.  The multi-seed study behind criteria 6-10 runs once in a session
+fixture, through the pipeline's own warm-start and robust fine-tune.
 Its seeds, and those of criterion 8, are independent and run in a few
 worker processes with one BLAS thread each, so the figures do not
 depend on how many cores the machine has.
@@ -13,6 +14,7 @@ Every test here is marked ``slow``; ``pytest -m "not slow"`` skips them.
 
 import contextlib
 import copy
+import dataclasses
 import multiprocessing
 import os
 import sys
@@ -90,7 +92,7 @@ def _map_seeds(fn, label: str) -> dict:
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
     line = f"CRITERION {num} ({label}): {'PASS' if ok else 'FAIL'} — {detail}"
-    print(line, file=sys.__stdout__, flush=True)
+    print(line, flush=True)
     assert ok, line
 
 
@@ -235,14 +237,18 @@ def test_criterion_3_gradient_integrity():
             return batch_objective(model, seqs, negs, method="dro", a=0.7,
                                    q0_steps=q0, params=p)["grads"]
 
+        def bce_loss_fn(p):
+            return batch_objective(model, seqs, negs, method="none", params=p,
+                                   want_grads=False)["loss_joint"]
+
+        def bce_grad_fn(p):
+            return batch_objective(model, seqs, negs, method="none",
+                                   params=p)["grads"]
+
         worst = max(worst, check_gradients(joint_loss_fn, joint_grad_fn,
                                            model.params, n_coords=120, seed=2))
-
-        batch = [([0, 1, 2], 3, 4), ([2, 3, 1], 5, 6)]
-        worst = max(worst, check_gradients(
-            lambda p: model.bce_loss(batch, p),
-            lambda p: model.bce_gradients(batch, p),
-            model.params, n_coords=120, seed=3))
+        worst = max(worst, check_gradients(bce_loss_fn, bce_grad_fn,
+                                           model.params, n_coords=120, seed=3))
     dt = time.perf_counter() - t0
     _verdict(3, "gradient integrity", worst < 1e-4 and dt < 60.0,
              f"max relative error {worst:.2e} across encoder/head/BCE/joint "
@@ -354,28 +360,14 @@ def _study_seed(seed: int) -> dict:
                           if n >= 3 and i not in clicked])
     pre_mat = sequences_to_matrix(prefixes, cfg.max_click_len)
 
-    sim = build_simulator(data.expo_part, cat, forbidden=data.eval_part,
-                          dim=cfg.expo_dim, max_len=cfg.max_expo_len,
-                          prefix_len=cfg.max_click_len, beta=cfg.beta,
-                          epochs=cfg.expo_epochs, lr=cfg.lr,
-                          batch_size=cfg.batch_size, seed=seed)
+    sim = pipeline.fit_simulator(cfg, data)
     q0 = sim.q0_all_positions(data.train_seqs)[:, :-1, :]
-
-    base = SeqModel(cat.n_items, cfg.embedding_dim, cfg.max_click_len,
-                    cfg.backbone, seed=seed, align_heads=True)
-    train_model(base, data.train_seqs, method="none",
-                epochs=cfg.warmup_epochs, lr=cfg.lr, beta2=cfg.beta2,
-                batch_size=cfg.batch_size, seed=seed)
-    base.realign_heads()
+    base = pipeline.warm_start(cfg, data)
 
     row = {}
     for a in (0.0,) + A_SMALL + A_LARGE:
         model = copy.deepcopy(base)
-        train_model(model, data.train_seqs, method="dro", a=a,
-                    q0_steps=q0 if a else None,
-                    epochs=cfg.epochs - cfg.warmup_epochs,
-                    lr=cfg.lr, beta2=cfg.fine_beta2,
-                    batch_size=cfg.batch_size, seed=seed + 1)
+        pipeline.robust_finetune(model, dataclasses.replace(cfg, a=a), data, q0)
         H, _ = model.forward_states(pre_mat)
         states = H[:, -1, :]
         logits = model.all_logits(states, "main")
@@ -387,8 +379,7 @@ def _study_seed(seed: int) -> dict:
         row[a] = {
             "ndcg10": oracle_evaluate(model, world, prefixes, uids, 10, "ndcg"),
             "ndcg20": oracle_evaluate(model, world, prefixes, uids, 20, "ndcg"),
-            "cov20": coverage([order[i] for i in range(len(order))],
-                              20, cat.n_items),
+            "cov20": coverage(order, 20, cat.n_items),
             "y_henc": float(np.mean(henc_scores)),
         }
     return row
@@ -494,13 +485,8 @@ def _simulator_seed(seed: int) -> dict:
                            rounds=cfg.rounds)
     log = run_feedback_loop(world, policy, seed=seed)
     data = pipeline.prepare(cfg, log)
-    sim = build_simulator(data.expo_part, log.catalog,
-                          forbidden=data.eval_part, dim=cfg.expo_dim,
-                          max_len=cfg.max_expo_len,
-                          prefix_len=cfg.max_click_len, beta=cfg.beta,
-                          epochs=cfg.expo_epochs, lr=cfg.lr,
-                          batch_size=cfg.batch_size, seed=seed)
-    return _simulator_recalls(cfg, data, log.catalog, sim)
+    return _simulator_recalls(cfg, data, log.catalog,
+                              pipeline.fit_simulator(cfg, data))
 
 
 def test_criterion_9_overestimation_penalty(study):

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from drorec import pipeline
 from drorec.cli import main
 from drorec.config import ExperimentConfig, save_config
+from drorec.model import SeqModel
 from drorec.pipeline import load_log
 
 
@@ -69,6 +71,15 @@ def test_seed_override_changes_output(tiny_config, tmp_path):
                  "--out", str(out_b)]) == 0
     assert ((out_a / "events.tsv").read_text()
             != (out_b / "events.tsv").read_text())
+
+
+def test_simulate_returns_the_log_the_cli_reads(tiny_config, tmp_path):
+    cfg, _ = tiny_config
+    log, _ = pipeline.simulate(cfg, tmp_path / "lib")
+    read = load_log(tmp_path / "lib")
+    assert log.catalog.item_ids == read.catalog.item_ids
+    assert log.catalog.user_ids == read.catalog.user_ids
+    assert log.events_by_user == read.events_by_user
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):
@@ -139,3 +150,16 @@ def test_checkpoint_from_another_catalog_rejected(two_worlds, capsys):
     shutil.copy(model_out / "expo_sim.npz", pop_out / "expo_sim.npz")
     assert main(["train", "--config", str(pop_cfg)]) == 1
     assert "CatalogMismatchError" in capsys.readouterr().err
+
+
+def test_unversioned_model_rejected(two_worlds, tmp_path, capsys):
+    out, cfg_path = two_worlds["model"]
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    with np.load(run / "model.npz") as ckpt:
+        arrays = {k: ckpt[k] for k in ckpt.files if k != "__meta__format_version"}
+    np.savez(run / "model.npz", **arrays)
+    with pytest.raises(ValueError, match="format"):
+        SeqModel.load(run / "model.npz")
+    assert main(["evaluate", "--config", str(cfg_path), "--out", str(run)]) == 1
+    assert "format" in capsys.readouterr().err

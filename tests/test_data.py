@@ -104,7 +104,7 @@ def test_split_by_user_validates_ratios():
 
 def test_split_exposure_chronological():
     log = _toy_log(n_users=3, clicks_per_user=4)
-    first, second = split_exposure(log, 0.7, seed=0)
+    first, second = split_exposure(log, 0.7)
     # ceil(0.7 * 4) = 3 exposures per user in the first part
     per_user_first = {}
     for e in first:

@@ -41,7 +41,8 @@ def test_target_ranks_agree_with_full_ranking():
     rng = np.random.default_rng(0)
     seqs = rng.integers(1, 13, size=(8, 4))
     targets = rng.integers(1, 13, size=8)
-    ranks = target_ranks(model, seqs, targets)
+    H, _ = model.forward_states(seqs)
+    ranks = target_ranks(model.all_logits(H[:, -1, :], "main"), targets)
     for i in range(8):
         ranking = rank_items(model, seqs[i])
         assert ranking[ranks[i] - 1] == targets[i]

@@ -130,7 +130,7 @@ def test_component_beats_uniform_on_heldout():
     # a uniform-random scorer on held-out exposure data
     log = _toy_events(n_users=30, length=16, seed=4)
     from drorec.data import split_exposure
-    first, second = split_exposure(log, 0.7, seed=0)
+    first, second = split_exposure(log, 0.7)
     comp = train_exposure_component(first, log.catalog, "recurrent",
                                     forbidden=second, dim=8, max_len=12,
                                     epochs=8, lr=0.01, batch_size=8, seed=0)

@@ -27,10 +27,16 @@ def _batch(seed=0, batch_size=3):
 @pytest.mark.parametrize("arch", ["recurrent", "attention"])
 def test_bce_gradients(arch):
     model = SeqModel(N_ITEMS, DIM, MAX_LEN, arch, seed=1)
-    batch = [([0, 0, 1, 2, 3], 4, 5), ([0, 2, 2, 1, 6], 3, 1)]
-    err = check_gradients(lambda p: model.bce_loss(batch, p),
-                          lambda p: model.bce_gradients(batch, p),
-                          model.params, n_coords=80, seed=0)
+    seqs, negs, _ = _batch(seed=0)
+
+    def loss(p):
+        return batch_objective(model, seqs, negs, method="none", params=p,
+                               want_grads=False)["loss_joint"]
+
+    def grad(p):
+        return batch_objective(model, seqs, negs, method="none", params=p)["grads"]
+
+    err = check_gradients(loss, grad, model.params, n_coords=80, seed=0)
     assert err < TOL
 
 
@@ -93,14 +99,15 @@ def test_baseline_gradients(method):
 
 
 def test_loss_scaling_linearity():
+    # the objective is normalized by the number of valid steps, so a batch
+    # holding every row twice has the gradients of the batch itself
     model = SeqModel(N_ITEMS, DIM, MAX_LEN, "attention", seed=7)
-    batch = [([0, 0, 0, 1, 2], 3, 4)]
-    grads = model.bce_gradients(batch)
-    scaled = {k: 2.0 * v for k, v in grads.items()}
-    batch2 = batch + batch  # summing the same term twice doubles the loss
-    grads2 = model.bce_gradients(batch2)
+    seqs, negs, _ = _batch(seed=10)
+    grads = batch_objective(model, seqs, negs, method="none")["grads"]
+    twice = batch_objective(model, np.concatenate([seqs, seqs]),
+                            np.concatenate([negs, negs]), method="none")["grads"]
     for k in grads:
-        np.testing.assert_allclose(grads2[k], scaled[k], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(twice[k], grads[k], rtol=1e-12, atol=1e-15)
 
 
 def test_adam_rejects_shape_mismatch():

@@ -16,17 +16,16 @@ from .nn import masked_softmax, uniform_init
 N_HEADS = 2
 
 
-def init_weights(rng: np.random.Generator, dim: int, max_len: int,
-                 scale: float = 0.1) -> dict[str, np.ndarray]:
+def init_weights(rng: np.random.Generator, dim: int, max_len: int) -> dict[str, np.ndarray]:
     if dim % N_HEADS != 0:
         raise ValueError(f"dim {dim} not divisible by {N_HEADS} heads")
-    w = {"att_pos": uniform_init(rng, (max_len, dim), scale)}
+    w = {"att_pos": uniform_init(rng, (max_len, dim))}
     for name in ("att_Wq", "att_Wk", "att_Wv", "att_Wo"):
-        w[name] = uniform_init(rng, (dim, dim), scale)
+        w[name] = uniform_init(rng, (dim, dim))
     w["att_bo"] = np.zeros(dim)
-    w["att_W1"] = uniform_init(rng, (dim, dim), scale)
+    w["att_W1"] = uniform_init(rng, (dim, dim))
     w["att_b1"] = np.zeros(dim)
-    w["att_W2"] = uniform_init(rng, (dim, dim), scale)
+    w["att_W2"] = uniform_init(rng, (dim, dim))
     w["att_b2"] = np.zeros(dim)
     return w
 

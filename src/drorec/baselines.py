@@ -12,6 +12,7 @@ import numpy as np
 from .exposure import ExposureSimulator
 
 METHODS = ("none", "ips", "ips_c", "relmf", "dro")
+CLIP_PREFIXES = 100    # training prefixes sampled for the IPS-C clip
 
 
 def ips_weight(rho: float) -> float:
@@ -51,14 +52,14 @@ def relmf_positive_grad(sigma_r: np.ndarray, inv_rho: np.ndarray) -> np.ndarray:
 
 
 def median_exposure_clip(sim: ExposureSimulator, seqs: np.ndarray,
-                         n_prefixes: int = 100, seed: int = 0) -> float:
+                         seed: int = 0) -> float:
     """Clipping threshold for IPS-C: the median marginal exposure probability.
 
     The marginal is the average q0 over a sample of training prefixes
     (the last position of each sampled sequence).
     """
     rng = np.random.default_rng(seed)
-    n = min(n_prefixes, seqs.shape[0])
+    n = min(CLIP_PREFIXES, seqs.shape[0])
     pick = rng.choice(seqs.shape[0], size=n, replace=False)
     q0 = sim.q0_all_positions(seqs[pick])[:, -1, :]
     marginal = q0.mean(axis=0)

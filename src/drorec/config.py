@@ -1,9 +1,11 @@
 """Experiment configuration: flat key = value files with typed fields.
 
-Unknown keys are hard errors so a typo cannot silently fall back to a
-default.  Every field has a default; the hyperparameter defaults
-(embedding 64, lr 0.005, beta 0.3, snips_k 0.1, sequence lengths 50/200)
-are the reference settings the rest of the toolkit assumes.
+Unknown keys and out-of-range values are hard errors, so a typo cannot
+silently fall back to a default and a run cannot train on a setting the
+method refuses.  The defaults here (embedding 64, lr 0.005, beta 0.3,
+snips_k 0.1, sequence lengths 50/200) are the only ones: the simulator
+builders and the evaluator take each setting as a required keyword.
+Values no experiment varies are constants in ``synthworld`` and ``nn``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,15 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
+from .baselines import METHODS
+from .model import ARCHS
+from .synthworld import POLICY_KINDS
+
 CONFIG_VERSION = 1
+
+# fields that must be > 0: epoch counts, batch size, step size, widths, lengths
+POSITIVE_FIELDS = ("epochs", "expo_epochs", "batch_size", "lr", "latent_dim",
+                   "embedding_dim", "expo_dim", "max_click_len", "max_expo_len")
 
 
 class ConfigError(ValueError):
@@ -62,12 +72,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {self.version}")
-        if self.backbone not in ("recurrent", "attention"):
-            raise ConfigError(f"unknown backbone {self.backbone!r}")
-        if self.method not in ("none", "ips", "ips_c", "relmf", "dro"):
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.policy not in ("uniform", "popularity", "model"):
-            raise ConfigError(f"unknown policy {self.policy!r}")
+        for name, allowed in (("backbone", ARCHS), ("method", METHODS),
+                              ("policy", POLICY_KINDS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+        for name in POSITIVE_FIELDS:
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("a", "beta"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 <= self.snips_k <= 1:
+            raise ConfigError(f"snips_k must be in [0, 1], got {self.snips_k}")
+        if not 0 < self.expo_fraction < 1:
+            raise ConfigError(
+                f"expo_fraction must be in (0, 1), got {self.expo_fraction}")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ConfigError(
                 f"warmup_epochs must be in [0, epochs), got {self.warmup_epochs}")

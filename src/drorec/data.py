@@ -19,6 +19,7 @@ EXPOSURE = "exposure"
 CLICK = "click"
 
 PAD_INDEX = 0
+PAD_ITEM = "<pad>"        # the id item_of gives the pad index
 
 
 class ParseError(ValueError):
@@ -54,14 +55,13 @@ class Catalog:
 
     user_ids: list[str]
     item_ids: list[str]
-    pad_item: str = "<pad>"
 
     def __post_init__(self):
         if len(set(self.user_ids)) != len(self.user_ids):
             raise ValueError("duplicate user ids")
         if len(set(self.item_ids)) != len(self.item_ids):
             raise ValueError("duplicate item ids")
-        if self.pad_item in self.item_ids:
+        if PAD_ITEM in self.item_ids:
             raise ValueError("pad item collides with a catalog item")
         self._item_index = {v: i + 1 for i, v in enumerate(self.item_ids)}
         self._user_index = {u: i for i, u in enumerate(self.user_ids)}
@@ -82,7 +82,7 @@ class Catalog:
 
     def item_of(self, index: int) -> str:
         if index == PAD_INDEX:
-            return self.pad_item
+            return PAD_ITEM
         return self.item_ids[index - 1]
 
     @property
@@ -250,12 +250,12 @@ def split_exposure(log: EventLog, fraction: float) -> tuple[list[Event], list[Ev
     return first, second
 
 
-def truncate_pad(seq: list[int], max_len: int, pad: int = PAD_INDEX) -> list[int]:
+def truncate_pad(seq: list[int], max_len: int) -> list[int]:
     """Keep the most recent max_len items, left-padding shorter sequences."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     tail = seq[-max_len:]
-    return [pad] * (max_len - len(tail)) + list(tail)
+    return [PAD_INDEX] * (max_len - len(tail)) + list(tail)
 
 
 def sequences_to_matrix(seqs: list[list[int]], max_len: int) -> np.ndarray:

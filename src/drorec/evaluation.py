@@ -197,9 +197,8 @@ class MetricsReport:
 
 
 def evaluate_model(model, seqs: np.ndarray, targets: np.ndarray,
-                   rho: np.ndarray, *, k_list=(5, 10, 20), snips_k: float = 0.1,
-                   seed: int = 0, config_hash: str = "",
-                   revision: str = "") -> MetricsReport:
+                   rho: np.ndarray, *, k_list, snips_k: float, seed: int,
+                   config_hash: str, revision: str) -> MetricsReport:
     """Full report for one frozen model on held-out (prefix, target) pairs."""
     H, _ = model.forward_states(seqs)
     logits = model.all_logits(H[:, -1, :], "main")       # (B, n_items)

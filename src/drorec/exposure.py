@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Catalog, Event, sequences_to_matrix, truncate_pad
+from .data import Catalog, Event, sequences_to_matrix
 from .model import SeqModel
 from .nn import load_params, save_params, softmax
 
@@ -33,10 +33,6 @@ class PopularityTable:
 
     counts: np.ndarray  # (n_items,) ints
     scores: np.ndarray  # (n_items,) in [0, 1]
-
-    @property
-    def degenerate(self) -> bool:
-        return self.counts.max(initial=0) == 0
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "PopularityTable":
@@ -75,43 +71,31 @@ def check_no_leakage(events: list[Event], forbidden: list[Event]) -> None:
         )
 
 
-def train_exposure_component(events: list[Event], catalog: Catalog, arch: str, *,
-                             forbidden: list[Event] | None = None,
-                             dim: int = 64, max_len: int = 200,
-                             epochs: int = 10, lr: float = 0.005,
-                             batch_size: int = 128, seed: int = 0) -> SeqModel:
-    """Fit one frozen mixture component on next-exposed-item prediction."""
+def train_exposure_component(mat: np.ndarray, catalog: Catalog, arch: str, *,
+                             dim: int, epochs: int, lr: float, batch_size: int,
+                             seed: int) -> SeqModel:
+    """Fit one frozen mixture component on next-exposed-item prediction
+    over the (n_users, max_len) matrix of exposure sequences."""
     from .dro import train_model  # local import to avoid a cycle
 
-    if not events:
-        raise ValueError("no exposure events to train on")
-    if forbidden is not None:
-        check_no_leakage(events, forbidden)
-    seqs = exposure_sequences(events, catalog)
-    mat = sequences_to_matrix(seqs, max_len)
-    model = SeqModel(catalog.n_items, dim, max_len, arch, seed=seed,
+    model = SeqModel(catalog.n_items, dim, mat.shape[1], arch, seed=seed,
                      fingerprint=catalog.fingerprint)
     train_model(model, mat, method="none", epochs=epochs, lr=lr,
                 batch_size=batch_size, seed=seed)
     return model.freeze()
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExposureSimulator:
     component_a: SeqModel      # attention scorer
     component_b: SeqModel      # recurrent scorer
     popularity: PopularityTable
-    beta: float = 0.3
-    prefix_len: int = 50       # interaction-prefix length at inference
+    beta: float
 
     def __post_init__(self):
         self.component_a.freeze()
         self.component_b.freeze()
         self._pop_softmax = softmax(self.popularity.scores)
-
-    @property
-    def n_items(self) -> int:
-        return self.component_a.n_items
 
     def _component_probs(self, model: SeqModel, seqs: np.ndarray) -> np.ndarray:
         H, _ = model.forward_states(seqs)
@@ -127,23 +111,6 @@ class ExposureSimulator:
         pb = self._component_probs(self.component_b, seqs)
         return pa + pb + self.beta * self._pop_softmax
 
-    def mu0_vector(self, prefix) -> np.ndarray:
-        """mu0 over the catalog for one interaction prefix (list of indices)."""
-        arr = np.asarray(truncate_pad(list(prefix), self.prefix_len), dtype=np.int64)
-        if not np.any(arr > 0):
-            raise ValueError("empty interaction prefix")
-        return self.mu0_all_positions(arr.reshape(1, -1))[0, -1]
-
-    def mixture_score(self, prefix, item_index: int) -> float:
-        if item_index <= 0 or item_index > self.n_items:
-            raise ValueError(f"item index {item_index} outside catalog")
-        return float(self.mu0_vector(prefix)[item_index - 1])
-
-    def exposure_distribution(self, prefix) -> np.ndarray:
-        """The nominal distribution q0 over the catalog for one prefix."""
-        mu = self.mu0_vector(prefix)
-        return mu / mu.sum()
-
     def q0_all_positions(self, seqs: np.ndarray) -> np.ndarray:
         mu = self.mu0_all_positions(seqs)
         return mu / mu.sum(axis=-1, keepdims=True)
@@ -158,7 +125,6 @@ class ExposureSimulator:
         arrays["pop_counts"] = self.popularity.counts
         save_params(path, arrays,
                     format_version=FORMAT_VERSION, beta=self.beta,
-                    prefix_len=self.prefix_len,
                     a_arch=self.component_a.arch, b_arch=self.component_b.arch,
                     n_items=self.component_a.n_items,
                     dim=self.component_a.dim,
@@ -182,24 +148,21 @@ class ExposureSimulator:
                                         fingerprint=fingerprint)
         return cls(component_a=comps["a"], component_b=comps["b"],
                    popularity=PopularityTable.from_counts(arrays["pop_counts"]),
-                   beta=float(meta["beta"]),
-                   prefix_len=int(meta["prefix_len"]))
+                   beta=float(meta["beta"]))
 
 
 def build_simulator(events: list[Event], catalog: Catalog, *,
-                    forbidden: list[Event] | None = None,
-                    dim: int = 64, max_len: int = 200, prefix_len: int = 50,
-                    beta: float = 0.3, epochs: int = 10, lr: float = 0.005,
-                    batch_size: int = 128, seed: int = 0) -> ExposureSimulator:
-    """Train both components and assemble the frozen mixture simulator."""
-    comp_a = train_exposure_component(events, catalog, "attention",
-                                      forbidden=forbidden, dim=dim, max_len=max_len,
-                                      epochs=epochs, lr=lr, batch_size=batch_size,
-                                      seed=seed)
-    comp_b = train_exposure_component(events, catalog, "recurrent",
-                                      forbidden=forbidden, dim=dim, max_len=max_len,
-                                      epochs=epochs, lr=lr, batch_size=batch_size,
-                                      seed=seed + 1)
-    pop = popularity_from(events, catalog)
+                    forbidden: list[Event], dim: int, max_len: int, beta: float,
+                    epochs: int, lr: float, batch_size: int,
+                    seed: int) -> ExposureSimulator:
+    """Train both components on one exposure matrix built from ``events``,
+    none of which may be in ``forbidden``, and assemble the frozen mixture."""
+    if not events:
+        raise ValueError("no exposure events to train on")
+    check_no_leakage(events, forbidden)
+    mat = sequences_to_matrix(exposure_sequences(events, catalog), max_len)
+    fit = dict(dim=dim, epochs=epochs, lr=lr, batch_size=batch_size)
+    comp_a = train_exposure_component(mat, catalog, "attention", seed=seed, **fit)
+    comp_b = train_exposure_component(mat, catalog, "recurrent", seed=seed + 1, **fit)
     return ExposureSimulator(component_a=comp_a, component_b=comp_b,
-                             popularity=pop, beta=beta, prefix_len=prefix_len)
+                             popularity=popularity_from(events, catalog), beta=beta)

@@ -17,11 +17,11 @@ WEIGHT_NAMES = ("gru_Wz", "gru_Uz", "gru_bz",
                 "gru_Wn", "gru_Un", "gru_bn")
 
 
-def init_weights(rng: np.random.Generator, dim: int, scale: float = 0.1) -> dict[str, np.ndarray]:
+def init_weights(rng: np.random.Generator, dim: int) -> dict[str, np.ndarray]:
     w = {}
     for gate in ("z", "r", "n"):
-        w[f"gru_W{gate}"] = uniform_init(rng, (dim, dim), scale)
-        w[f"gru_U{gate}"] = uniform_init(rng, (dim, dim), scale)
+        w[f"gru_W{gate}"] = uniform_init(rng, (dim, dim))
+        w[f"gru_U{gate}"] = uniform_init(rng, (dim, dim))
         w[f"gru_b{gate}"] = np.zeros(dim)
     return w
 

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+INIT_SCALE = 0.1          # half-width of the uniform weight init
+ADAM_BETA1 = 0.9
+ADAM_EPS = 1e-8
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from
@@ -58,26 +62,23 @@ def log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], scale: float = 0.1) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape)
+def uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
 
 class Adam:
     """Standard Adam with bias correction over a named-parameter dict."""
 
-    def __init__(self, param_names, lr: float = 0.005, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, param_names, lr: float = 0.005, beta2: float = 0.999):
         self.lr = lr
-        self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: None for k in param_names}
         self.v = {k: None for k in param_names}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for k, g in grads.items():
             p = params[k]
@@ -86,11 +87,11 @@ class Adam:
             if self.m[k] is None:
                 self.m[k] = np.zeros_like(p)
                 self.v[k] = np.zeros_like(p)
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
             self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
             m_hat = self.m[k] / b1t
             v_hat = self.v[k] / b2t
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def save_params(path, params: dict[str, np.ndarray], **meta) -> None:

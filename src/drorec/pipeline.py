@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,8 +103,7 @@ def fit_simulator(config: ExperimentConfig, data: PreparedData,
         events, forbidden = forbidden, events
     return build_simulator(events, data.log.catalog, forbidden=forbidden,
                            dim=config.expo_dim, max_len=config.max_expo_len,
-                           prefix_len=config.max_click_len, beta=config.beta,
-                           epochs=config.expo_epochs, lr=config.lr,
+                           beta=config.beta, epochs=config.expo_epochs, lr=config.lr,
                            batch_size=config.batch_size,
                            seed=config.seed + (1000 if evaluation else 0))
 
@@ -209,10 +208,12 @@ def evaluate(config: ExperimentConfig, out_dir: Path,
 
     q0 = eval_sim.q0_all_positions(data.test_prefix_mat)[:, -1, :]
     rho = q0[np.arange(len(data.test_targets)), data.test_targets - 1]
+    # the run directory is where a config ran, not part of the config
+    setting = config_to_text(replace(config, out_dir=""))
     report = evaluate_model(model, data.test_prefix_mat, data.test_targets, rho,
                             k_list=config.k_list, snips_k=config.snips_k,
                             seed=config.seed,
-                            config_hash=config_fingerprint(config_to_text(config)),
+                            config_hash=config_fingerprint(setting),
                             revision=REVISION)
     (out_dir / METRICS_JSON).write_text(report.to_json() + "\n")
     (out_dir / METRICS_CSV).write_text(report.to_csv())

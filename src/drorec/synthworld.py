@@ -22,6 +22,21 @@ from .nn import sigmoid
 
 POLICY_KINDS = ("uniform", "popularity", "model")
 
+# click logits: PREF_SCALE * <user, item> + DRIFT_SCALE * <drift of the
+# last click, drift of the item> + BIAS
+PREF_SCALE = 7.0
+DRIFT_SCALE = 0.8
+BIAS = -3.0
+
+# the model policy: its selection scores, and the recurrent scorer
+# refit on the click histories before every round after the first
+POP_BONUS = 3.0        # weight of log(1 + exposures so far)
+NOISE = 0.3            # Gumbel noise scale
+EXPLORE_EPS = 0.3      # fraction of slate slots filled uniformly
+POLICY_DIM = 16
+POLICY_EPOCHS = 2
+POLICY_LR = 0.01
+
 
 @dataclass
 class GroundTruthWorld:
@@ -70,9 +85,8 @@ class GroundTruthWorld:
                        drift_scale=float(s[1]), bias=float(s[2]), seed=int(s[3]))
 
 
-def generate_world(n_users: int, n_items: int, latent_dim: int, seed: int, *,
-                   pref_scale: float = 7.0, drift_scale: float = 0.8,
-                   bias: float = -3.0) -> GroundTruthWorld:
+def generate_world(n_users: int, n_items: int, latent_dim: int,
+                   seed: int) -> GroundTruthWorld:
     """Deterministic world from a seed; latents are unit-variance gaussian."""
     if n_users < 2 or n_items < 2:
         raise ValueError("world needs at least 2 users and 2 items")
@@ -82,7 +96,7 @@ def generate_world(n_users: int, n_items: int, latent_dim: int, seed: int, *,
         user_vecs=rng.normal(0.0, scale, (n_users, latent_dim)),
         item_vecs=rng.normal(0.0, scale, (n_items, latent_dim)),
         drift_vecs=rng.normal(0.0, scale, (n_items, latent_dim)),
-        pref_scale=pref_scale, drift_scale=drift_scale, bias=bias, seed=seed)
+        pref_scale=PREF_SCALE, drift_scale=DRIFT_SCALE, bias=BIAS, seed=seed)
 
 
 @dataclass
@@ -90,15 +104,6 @@ class LoggingPolicy:
     kind: str = "model"
     slate_size: int = 10
     rounds: int = 20
-    pop_gamma: float = 1.0       # popularity reinforcement exponent
-    pop_bonus: float = 3.0       # popularity boost inside the model policy
-    model_weight: float = 1.0    # weight of the learned scores in the model policy
-    noise: float = 0.3           # exploration noise on selection scores
-    explore_eps: float = 0.3     # fraction of slate slots filled uniformly
-    model_dim: int = 16
-    model_epochs: int = 2
-    model_lr: float = 0.01
-    retrain_every: int = 1
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -128,9 +133,8 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
 
     for rnd in range(policy.rounds):
         if (policy.kind == "model" and rnd > 0
-                and rnd % policy.retrain_every == 0
                 and sum(len(s) > 1 for s in click_seqs) >= 10):
-            scorer = _fit_policy_model(world, click_seqs, policy, seed + rnd)
+            scorer = _fit_policy_model(world, click_seqs, seed + rnd)
 
         # the model policy reinforces what the system has already shown,
         # independent of whether anyone liked it
@@ -149,17 +153,16 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
             if policy.kind == "uniform":
                 slate = rng.choice(n_items, size=m, replace=False)
             elif policy.kind == "popularity":
-                weights = (click_counts + 1.0) ** policy.pop_gamma
+                weights = click_counts + 1.0
                 p = weights / weights.sum()
                 slate = rng.choice(n_items, size=m, replace=False, p=p)
             else:
-                noise = rng.gumbel(0.0, policy.noise, size=n_items)
+                noise = rng.gumbel(0.0, NOISE, size=n_items)
                 if model_scores is not None and click_seqs[u]:
-                    scores = (policy.model_weight * model_scores[u]
-                              + policy.pop_bonus * pop + noise)
+                    scores = model_scores[u] + POP_BONUS * pop + noise
                 else:
-                    scores = policy.pop_bonus * pop + noise
-                n_explore = int(round(policy.explore_eps * m))
+                    scores = POP_BONUS * pop + noise
+                n_explore = int(round(EXPLORE_EPS * m))
                 top = np.argsort(-scores, kind="stable")[:m - n_explore]
                 if n_explore:
                     rest = np.setdiff1d(np.arange(n_items), top)
@@ -185,16 +188,16 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
     return EventLog(events_by_user, catalog)
 
 
-def _fit_policy_model(world, click_seqs, policy: LoggingPolicy, seed: int) -> SeqModel:
+def _fit_policy_model(world, click_seqs, seed: int) -> SeqModel:
     from .data import sequences_to_matrix
     from .dro import train_model
 
     trainable = [s for s in click_seqs if len(s) > 1]
     max_len = min(20, max(len(s) for s in trainable))
     mat = sequences_to_matrix(trainable, max_len)
-    model = SeqModel(world.n_items, policy.model_dim, max_len, "recurrent", seed=seed)
-    train_model(model, mat, method="none", epochs=policy.model_epochs,
-                lr=policy.model_lr, batch_size=256, seed=seed)
+    model = SeqModel(world.n_items, POLICY_DIM, max_len, "recurrent", seed=seed)
+    train_model(model, mat, method="none", epochs=POLICY_EPOCHS, lr=POLICY_LR,
+                batch_size=256, seed=seed)
     return model.freeze()
 
 

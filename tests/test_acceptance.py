@@ -109,7 +109,7 @@ def test_criterion_1_exposure_distribution_exactness():
                            slate_size=6, rounds=6)
     data = pipeline.prepare(cfg, log)
     sim = build_simulator(data.expo_part, log.catalog, forbidden=data.eval_part,
-                          dim=8, max_len=40, prefix_len=12, beta=cfg.beta,
+                          dim=8, max_len=40, beta=cfg.beta,
                           epochs=1, lr=cfg.lr, batch_size=128, seed=0)
 
     rng = np.random.default_rng(123)

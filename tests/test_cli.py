@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline on a miniature configuration."""
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from drorec import pipeline
 from drorec.cli import main
-from drorec.config import ExperimentConfig, save_config
+from drorec.config import ExperimentConfig, load_config, save_config
 from drorec.model import SeqModel
 from drorec.pipeline import load_log
 
@@ -89,6 +90,14 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_cli_rejects_out_of_range_setting(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"version = 1\nout_dir = {tmp_path / 'run'}\na = -1\n")
+    assert main(["simulate", "--config", str(bad)]) == 1
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_reports_missing_files(tmp_path, capsys):
     cfg = ExperimentConfig(out_dir=str(tmp_path / "nope"))
     path = tmp_path / "c.txt"
@@ -150,6 +159,23 @@ def test_checkpoint_from_another_catalog_rejected(two_worlds, capsys):
     shutil.copy(model_out / "expo_sim.npz", pop_out / "expo_sim.npz")
     assert main(["train", "--config", str(pop_cfg)]) == 1
     assert "CatalogMismatchError" in capsys.readouterr().err
+
+
+def test_config_hash_ignores_out_dir(two_worlds, tmp_path):
+    out, cfg_path = two_worlds["model"]
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
+    assert main(["evaluate", "--config", str(cfg_path), "--out", str(copy)]) == 0
+
+    def config_hash(run):
+        return json.loads((run / "metrics.json").read_text())["config_hash"]
+
+    assert config_hash(out) == config_hash(copy)
+    changed = tmp_path / "changed.txt"
+    save_config(dataclasses.replace(load_config(cfg_path), a=0.25), changed)
+    assert main(["evaluate", "--config", str(changed), "--out", str(copy)]) == 0
+    assert config_hash(copy) != config_hash(out)
 
 
 def test_unversioned_model_rejected(two_worlds, tmp_path, capsys):

@@ -67,3 +67,33 @@ def test_defaults_match_reference_settings():
     assert cfg.beta == 0.3 and cfg.snips_k == 0.1
     assert cfg.max_click_len == 50 and cfg.max_expo_len == 200
     assert cfg.expo_fraction == 0.7
+
+
+@pytest.mark.parametrize("key, value", [
+    ("a", -1.0),
+    ("beta", -0.1),
+    ("snips_k", 2.0),
+    ("snips_k", -0.5),
+    ("expo_fraction", 0.0),
+    ("expo_fraction", 1.0),
+    ("epochs", 0),
+    ("expo_epochs", 0),
+    ("batch_size", 0),
+    ("lr", 0.0),
+    ("lr", -0.01),
+    ("latent_dim", 0),
+    ("embedding_dim", -8),
+    ("expo_dim", 0),
+    ("max_click_len", 0),
+    ("max_expo_len", 0),
+])
+def test_out_of_range_setting_rejected_at_load(tmp_path, key, value):
+    path = tmp_path / "config.txt"
+    path.write_text(f"version = 1\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
+def test_range_boundaries_accepted():
+    ExperimentConfig(a=0.0, beta=0.0, snips_k=0.0)
+    ExperimentConfig(snips_k=1.0, expo_fraction=0.5)

@@ -4,9 +4,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drorec.data import (CLICK, EXPOSURE, Catalog, ConfigurationError, Event,
-                         IntegrityError, ParseError, index_sequences,
+from drorec.data import (CLICK, EXPOSURE, PAD_INDEX, PAD_ITEM, Catalog,
+                         ConfigurationError, Event, EventLog, IntegrityError,
+                         ParseError, appearance_ordered, index_sequences,
                          parse_event_log, sequences_to_matrix,
                          serialize_event_log, split_by_user, split_exposure,
                          truncate_pad)
@@ -59,7 +62,7 @@ def test_catalog_reserves_pad_index():
     cat = Catalog(["u1"], ["a", "b"])
     assert cat.item_index("a") == 1
     assert cat.item_index("b") == 2
-    assert cat.item_of(0) == cat.pad_item
+    assert cat.item_of(0) == PAD_ITEM
     assert cat.item_of(2) == "b"
     with pytest.raises(ValueError):
         Catalog(["u1"], ["a", "a"])
@@ -124,6 +127,45 @@ def test_truncate_pad_left():
     mat = sequences_to_matrix([[1], [2, 3]], 3)
     assert mat.tolist() == [[0, 0, 1], [0, 2, 3]]
     assert mat.dtype == np.int64
+
+
+@given(seq=st.lists(st.integers(1, 50), max_size=30), max_len=st.integers(1, 20))
+def test_truncate_pad_property(seq, max_len):
+    out = truncate_pad(seq, max_len)
+    kept = min(len(seq), max_len)
+    assert len(out) == max_len
+    assert out[max_len - kept:] == seq[len(seq) - kept:]
+    assert out[:max_len - kept] == [PAD_INDEX] * (max_len - kept)
+
+
+@st.composite
+def _event_logs(draw):
+    """Valid logs: every user has events, every click its exposure at the
+    same timestamp, each user's events in the order the parser sorts them."""
+    users = [f"u{i}" for i in range(draw(st.integers(1, 4)))]
+    items = [f"i{j}" for j in range(6)]
+    events_by_user = {}
+    for user in users:
+        events = []
+        for item, ts, clicked in draw(st.lists(
+                st.tuples(st.sampled_from(items), st.integers(0, 20), st.booleans()),
+                min_size=1, max_size=8)):
+            events.append(Event(user, item, ts, EXPOSURE))
+            if clicked:
+                events.append(Event(user, item, ts, CLICK))
+        events.sort(key=lambda e: (e.timestamp, e.kind == CLICK))
+        events_by_user[user] = events
+    return EventLog(events_by_user, Catalog(draw(st.permutations(users)),
+                                            draw(st.permutations(items))))
+
+
+@settings(max_examples=60)
+@given(log=_event_logs())
+def test_parse_serialize_roundtrip_property(log):
+    parsed = parse_event_log(io.StringIO(serialize_event_log(log)))
+    assert parsed.events_by_user == log.events_by_user
+    assert parsed.catalog.user_ids == log.catalog.user_ids
+    assert parsed.catalog == appearance_ordered(log).catalog
 
 
 def test_index_sequences():

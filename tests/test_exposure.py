@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from drorec.data import (CLICK, EXPOSURE, Catalog, CatalogMismatchError, Event,
-                         EventLog)
+                         EventLog, sequences_to_matrix, split_exposure,
+                         truncate_pad)
 from drorec.exposure import (ExposureSimulator, LeakageError, PopularityTable,
                              build_simulator, check_no_leakage,
-                             popularity_from, train_exposure_component)
+                             exposure_sequences, popularity_from,
+                             train_exposure_component)
 from drorec.model import SeqModel
 
 
@@ -33,9 +35,17 @@ def _toy_events(n_users=12, n_items=8, length=10, seed=0):
 def sim_setup():
     log = _toy_events()
     events = log.exposure_events()
-    sim = build_simulator(events, log.catalog, dim=8, max_len=12, prefix_len=6,
+    sim = build_simulator(events, log.catalog, forbidden=[], dim=8, max_len=12,
                           beta=0.3, epochs=2, lr=0.01, batch_size=8, seed=0)
     return log, sim
+
+
+def _random_prefixes(log, n, seed):
+    """n random interaction prefixes of 1-6 items as a (n, 6) padded matrix."""
+    rng = np.random.default_rng(seed)
+    prefixes = [rng.integers(1, log.catalog.n_items + 1, size=rng.integers(1, 7)).tolist()
+                for _ in range(n)]
+    return sequences_to_matrix(prefixes, 6)
 
 
 def test_popularity_table(sim_setup):
@@ -44,35 +54,24 @@ def test_popularity_table(sim_setup):
     assert pop.counts.sum() == len(log.exposure_events())
     assert pop.scores.max() == pytest.approx(1.0)
     assert np.all(pop.scores >= 0.0)
-    assert not pop.degenerate
-    empty = PopularityTable(counts=np.zeros(3, dtype=np.int64),
-                            scores=np.zeros(3))
-    assert empty.degenerate
+    empty = PopularityTable.from_counts(np.zeros(3, dtype=np.int64))
+    assert not empty.scores.any()
 
 
 def test_mixture_sums(sim_setup):
     log, sim = sim_setup
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        n = rng.integers(1, 7)
-        prefix = rng.integers(1, log.catalog.n_items + 1, size=n).tolist()
-        mu = sim.mu0_vector(prefix)
-        assert mu.sum() == pytest.approx(2.0 + sim.beta, abs=1e-9)
-        q0 = sim.exposure_distribution(prefix)
-        assert q0.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(q0 > 0)
+    mat = _random_prefixes(log, 50, seed=1)
+    mu = sim.mu0_all_positions(mat)[:, -1, :]
+    np.testing.assert_allclose(mu.sum(axis=1), 2.0 + sim.beta, rtol=0, atol=1e-9)
+    q0 = sim.q0_all_positions(mat)[:, -1, :]
+    np.testing.assert_allclose(q0.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    assert np.all(q0 > 0)
 
 
 def test_mixture_score_bounds(sim_setup):
     log, sim = sim_setup
-    score = sim.mixture_score([1, 2], 1)
-    assert 0.0 < score < 2.0 + sim.beta
-    with pytest.raises(ValueError):
-        sim.mixture_score([1, 2], 0)
-    with pytest.raises(ValueError):
-        sim.mixture_score([1, 2], 99)
-    with pytest.raises(ValueError):
-        sim.mu0_vector([])
+    mu = sim.mu0_all_positions(_random_prefixes(log, 20, seed=2))[:, -1, :]
+    assert np.all(mu > 0.0) and np.all(mu < 2.0 + sim.beta)
 
 
 def test_simulator_components_frozen(sim_setup):
@@ -89,9 +88,9 @@ def test_leakage_guard():
         check_no_leakage(events, events[:3])
     check_no_leakage(events[:5], events[5:])  # disjoint: no error
     with pytest.raises(LeakageError):
-        train_exposure_component(events, log.catalog, "recurrent",
-                                 forbidden=events[:1], dim=4, max_len=8,
-                                 epochs=1, seed=0)
+        build_simulator(events, log.catalog, forbidden=events[:1], dim=4,
+                        max_len=8, beta=0.3, epochs=1, lr=0.01, batch_size=8,
+                        seed=0)
 
 
 def test_simulator_save_load_bit_exact(tmp_path, sim_setup):
@@ -100,11 +99,11 @@ def test_simulator_save_load_bit_exact(tmp_path, sim_setup):
     sim.save(path)
     loaded = ExposureSimulator.load(path)
     assert loaded.beta == sim.beta
-    assert loaded.prefix_len == sim.prefix_len
     for k, v in sim.component_a.params.items():
         assert np.array_equal(loaded.component_a.params[k], v)
-    prefix = [1, 3, 2]
-    np.testing.assert_array_equal(loaded.mu0_vector(prefix), sim.mu0_vector(prefix))
+    mat = sequences_to_matrix([[1, 3, 2]], 6)
+    np.testing.assert_array_equal(loaded.mu0_all_positions(mat),
+                                  sim.mu0_all_positions(mat))
 
 
 def test_simulator_checkpoint_names_its_catalog(tmp_path, sim_setup):
@@ -129,12 +128,10 @@ def test_component_beats_uniform_on_heldout():
     # a trained component should rank the true next exposure better than
     # a uniform-random scorer on held-out exposure data
     log = _toy_events(n_users=30, length=16, seed=4)
-    from drorec.data import split_exposure
     first, second = split_exposure(log, 0.7)
-    comp = train_exposure_component(first, log.catalog, "recurrent",
-                                    forbidden=second, dim=8, max_len=12,
+    mat = sequences_to_matrix(exposure_sequences(first, log.catalog), 12)
+    comp = train_exposure_component(mat, log.catalog, "recurrent", dim=8,
                                     epochs=8, lr=0.01, batch_size=8, seed=0)
-    from drorec.data import truncate_pad
     per_user = {}
     for e in second:
         per_user.setdefault(e.user, []).append(e)

@@ -52,7 +52,7 @@ def relmf_positive_grad(sigma_r: np.ndarray, inv_rho: np.ndarray) -> np.ndarray:
 
 
 def median_exposure_clip(sim: ExposureSimulator, seqs: np.ndarray,
-                         seed: int = 0) -> float:
+                         seed: int) -> float:
     """Clipping threshold for IPS-C: the median marginal exposure probability.
 
     The marginal is the average q0 over a sample of training prefixes
@@ -61,7 +61,7 @@ def median_exposure_clip(sim: ExposureSimulator, seqs: np.ndarray,
     rng = np.random.default_rng(seed)
     n = min(CLIP_PREFIXES, seqs.shape[0])
     pick = rng.choice(seqs.shape[0], size=n, replace=False)
-    q0 = sim.q0_all_positions(seqs[pick])[:, -1, :]
+    q0 = sim.q0_blocks(seqs[pick], lambda q0, _: q0[:, -1])
     marginal = q0.mean(axis=0)
     return float(np.median(marginal))
 
@@ -77,11 +77,15 @@ class PropensityProvider:
 
         Returns (B, T-1); entries at invalid steps are 1.0.
         """
-        q0 = self.sim.q0_all_positions(seqs)
-        B, T = seqs.shape
-        targets = seqs[:, 1:]
-        rows = np.arange(B)[:, None]
-        cols = np.arange(T - 1)[None, :]
-        rho = q0[rows, cols, np.clip(targets - 1, 0, None)]
-        valid = (seqs[:, :-1] > 0) & (targets > 0)
-        return np.where(valid, rho, 1.0)
+        return self.sim.q0_blocks(seqs, _target_propensity)
+
+
+def _target_propensity(q0: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+    """q0 at each step's next item, 1.0 at invalid steps."""
+    B, T = seqs.shape
+    targets = seqs[:, 1:]
+    rows = np.arange(B)[:, None]
+    cols = np.arange(T - 1)[None, :]
+    rho = q0[rows, cols, np.clip(targets - 1, 0, None)]
+    valid = (seqs[:, :-1] > 0) & (targets > 0)
+    return np.where(valid, rho, 1.0)

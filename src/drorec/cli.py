@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import pipeline
 from .config import ConfigError, ExperimentConfig, load_config, save_config
+from .nn import keep_freed_memory
 
 
 def _load(args) -> ExperimentConfig:
@@ -108,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    keep_freed_memory()
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError) as exc:

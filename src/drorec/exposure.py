@@ -21,6 +21,9 @@ from .model import SeqModel
 from .nn import load_params, save_params, softmax
 
 FORMAT_VERSION = 2
+# sequences per q0_all_positions call in q0_blocks; whole (rows, T) blocks
+# give the same bits as the full matrix
+Q0_BLOCK_ROWS = 64
 
 
 class LeakageError(ValueError):
@@ -114,6 +117,24 @@ class ExposureSimulator:
     def q0_all_positions(self, seqs: np.ndarray) -> np.ndarray:
         mu = self.mu0_all_positions(seqs)
         return mu / mu.sum(axis=-1, keepdims=True)
+
+    def q0_blocks(self, seqs: np.ndarray, take) -> np.ndarray:
+        """``take(q0, block)`` of every block of at most Q0_BLOCK_ROWS rows
+        of seqs, where q0 is ``q0_all_positions(block)``, stacked along rows.
+
+        Every caller with a whole user matrix goes through here, so the
+        (rows, T, n_items) transient is one block's.  Equals
+        ``take(q0_all_positions(seqs), seqs)`` bit for bit when take works
+        row by row, as slicing and per-row gathers do.
+        """
+        out = None
+        for start in range(0, max(len(seqs), 1), Q0_BLOCK_ROWS):
+            block = seqs[start:start + Q0_BLOCK_ROWS]
+            part = take(self.q0_all_positions(block), block)
+            if out is None:
+                out = np.empty((len(seqs),) + part.shape[1:], dtype=part.dtype)
+            out[start:start + len(block)] = part
+        return out
 
     # ------------------------------------------------------------------
 

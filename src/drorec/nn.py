@@ -7,11 +7,35 @@ can treat every architecture uniformly.
 
 from __future__ import annotations
 
+import ctypes
+import platform
+
 import numpy as np
 
 INIT_SCALE = 0.1          # half-width of the uniform weight init
 ADAM_BETA1 = 0.9
 ADAM_EPS = 1e-8
+# glibc malloc: blocks below MMAP_THRESHOLD come from the heap, and the heap
+# top is returned to the OS only past TRIM_THRESHOLD free bytes; these are
+# the ceilings glibc's own dynamic thresholds reach on 64-bit
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # mallopt parameters, <malloc.h>
+
+
+def keep_freed_memory() -> None:
+    """Keep freed numpy buffers in the process heap for the next allocation.
+
+    Without it glibc hands the per-step temporaries of a training step back
+    to the OS and page-faults fresh pages in on the next step.  Does nothing
+    outside glibc.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

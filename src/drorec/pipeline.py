@@ -173,7 +173,7 @@ def train_backbone(config: ExperimentConfig, out_dir: Path,
     log_path = out_dir / TRAIN_LOG_FILE
     if config.method == "dro":
         model = warm_start(config, data, log_path)
-        q0_steps = (expo_sim.q0_all_positions(data.train_seqs)[:, :-1, :]
+        q0_steps = (expo_sim.q0_blocks(data.train_seqs, lambda q0, _: q0[:, :-1])
                     if config.a != 0.0 else None)
         robust_finetune(model, config, data, q0_steps, log_path)
     else:
@@ -206,7 +206,7 @@ def evaluate(config: ExperimentConfig, out_dir: Path,
     if eval_sim is None:
         eval_sim = ExposureSimulator.load(out_dir / EVAL_SIM_FILE, data.log.catalog)
 
-    q0 = eval_sim.q0_all_positions(data.test_prefix_mat)[:, -1, :]
+    q0 = eval_sim.q0_blocks(data.test_prefix_mat, lambda q0, _: q0[:, -1])
     rho = q0[np.arange(len(data.test_targets)), data.test_targets - 1]
     # the run directory is where a config ran, not part of the config
     setting = config_to_text(replace(config, out_dir=""))

@@ -31,7 +31,7 @@ from drorec.dro import batch_objective, dro_loss, train_model
 from drorec.evaluation import coverage, debiasedness_check, snips_evaluate
 from drorec.exposure import build_simulator
 from drorec.model import SeqModel
-from drorec.nn import check_gradients, sigmoid, softmax
+from drorec.nn import check_gradients, keep_freed_memory, sigmoid, softmax
 from drorec.synthworld import (LoggingPolicy, generate_world, oracle_evaluate,
                                run_feedback_loop)
 
@@ -43,9 +43,10 @@ SEEDS = (0, 1, 2, 3, 4)
 
 # Worker processes for the per-seed runs: a few, so memory stays small
 # (about 460 MB each).  Each gets one BLAS thread, since the workers
-# already share the CPUs, and keeps freed numpy temporaries in its heap
-# rather than returning them to the OS and faulting fresh pages back in
-# on every training step, which costs over a quarter of the step time.
+# already share the CPUs, and starts with the CLI's allocator policy
+# (`keep_freed_memory`): freed numpy temporaries stay in its heap rather
+# than going back to the OS and being faulted in again on every training
+# step, which costs over a quarter of the step time.
 WORKERS = min(3, len(SEEDS))
 # far above the 6-12 minutes the study takes on one or two cores: this
 # only ends a hang
@@ -54,8 +55,6 @@ WORKER_ENV = {
     "OPENBLAS_NUM_THREADS": "1",
     "OMP_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
-    "MALLOC_MMAP_THRESHOLD_": str(32 << 20),
-    "MALLOC_TRIM_THRESHOLD_": str(1 << 30),
 }
 
 
@@ -82,7 +81,7 @@ def _map_seeds(fn, label: str) -> dict:
     deadline = time.monotonic() + MAP_TIMEOUT_S
     results = {}
     ctx = multiprocessing.get_context("spawn")
-    with _environ(WORKER_ENV), ctx.Pool(WORKERS) as pool:
+    with _environ(WORKER_ENV), ctx.Pool(WORKERS, initializer=keep_freed_memory) as pool:
         pending = {seed: pool.apply_async(fn, (seed,)) for seed in SEEDS}
         for seed, res in pending.items():
             results[seed] = res.get(timeout=max(0.0, deadline - time.monotonic()))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drorec import pipeline
+from drorec import cli, pipeline
 from drorec.cli import main
 from drorec.config import ExperimentConfig, load_config, save_config
 from drorec.model import SeqModel
@@ -81,6 +81,14 @@ def test_simulate_returns_the_log_the_cli_reads(tiny_config, tmp_path):
     assert log.catalog.item_ids == read.catalog.item_ids
     assert log.catalog.user_ids == read.catalog.user_ids
     assert log.events_by_user == read.events_by_user
+
+
+def test_main_keeps_freed_memory_before_dispatch(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append("policy"))
+    monkeypatch.setattr(cli, "cmd_report", lambda args: calls.append("report") or 0)
+    assert main(["report", "missing-run"]) == 0
+    assert calls == ["policy", "report"]
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

@@ -6,9 +6,17 @@ match bit for bit, since training reductions (criterion 5) and saved
 figures rely on exact arithmetic.
 """
 
+import os
+import platform
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import drorec
 from drorec.nn import masked_softmax, scatter_add_rows, sigmoid
 
 
@@ -65,3 +73,35 @@ def test_scatter_add_rows_matches_add_at(index_shape):
     got = scatter_add_rows(index, values, 15)
     assert got.shape == (15, 7)
     assert np.array_equal(got, want)
+
+
+# Four touched 4 MiB arrays per round, freed together: glibc's default
+# policy trims them off the heap top and faults them back in every round.
+_CHURN = """
+import resource
+import numpy as np
+from drorec.nn import keep_freed_memory
+
+keep_freed_memory()
+
+def churn():
+    arrays = [np.ones((4 << 20) // 8) for _ in range(4)]
+    del arrays
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc policy")
+def test_keep_freed_memory_stops_refaults():
+    src = str(Path(drorec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _CHURN], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    two_arrays_pages = 2 * (4 << 20) // resource.getpagesize()
+    assert int(out) < two_arrays_pages

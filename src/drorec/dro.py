@@ -179,8 +179,8 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
 def train_model(model: SeqModel, seqs: np.ndarray, *, method: str = "none",
                 a: float = 0.0, q0_steps: np.ndarray | None = None,
                 prop_steps: np.ndarray | None = None, clip: float | None = None,
-                epochs: int = 10, lr: float = 0.005, batch_size: int = 128,
-                seed: int = 0, beta2: float = 0.999, log_path=None,
+                epochs: int, lr: float, batch_size: int, seed: int,
+                beta2: float, log_path=None,
                 phase: str | None = None, first_epoch: int = 0) -> list[dict]:
     """Optimize the model in place; returns the per-epoch metric records.
 

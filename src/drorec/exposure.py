@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Catalog, Event, sequences_to_matrix
 from .model import SeqModel
-from .nn import load_params, save_params, softmax
+from .nn import ADAM_BETA2, load_params, save_params, softmax
 
 FORMAT_VERSION = 2
 # sequences per q0_all_positions call in q0_blocks; whole (rows, T) blocks
@@ -84,7 +84,7 @@ def train_exposure_component(mat: np.ndarray, catalog: Catalog, arch: str, *,
     model = SeqModel(catalog.n_items, dim, mat.shape[1], arch, seed=seed,
                      fingerprint=catalog.fingerprint)
     train_model(model, mat, method="none", epochs=epochs, lr=lr,
-                batch_size=batch_size, seed=seed)
+                batch_size=batch_size, seed=seed, beta2=ADAM_BETA2)
     return model.freeze()
 
 

@@ -144,7 +144,7 @@ class SeqModel:
         self.params["W_dro"][:] = self.params["W_main"]
         self.params["b_dro"][:] = self.params["b_main"]
 
-    def make_optimizer(self, lr: float, beta2: float = 0.999) -> Adam:
+    def make_optimizer(self, lr: float, beta2: float) -> Adam:
         return Adam(self.params.keys(), lr=lr, beta2=beta2)
 
     def freeze(self) -> "SeqModel":

@@ -14,6 +14,7 @@ import numpy as np
 
 INIT_SCALE = 0.1          # half-width of the uniform weight init
 ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999        # the fits with no beta2 setting: simulators, policy refit
 ADAM_EPS = 1e-8
 # glibc malloc: blocks below MMAP_THRESHOLD come from the heap, and the heap
 # top is returned to the OS only past TRIM_THRESHOLD free bytes; these are
@@ -93,7 +94,7 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray
 class Adam:
     """Standard Adam with bias correction over a named-parameter dict."""
 
-    def __init__(self, param_names, lr: float = 0.005, beta2: float = 0.999):
+    def __init__(self, param_names, lr: float, beta2: float):
         self.lr = lr
         self.beta2 = beta2
         self.t = 0

@@ -18,7 +18,7 @@ import numpy as np
 from .data import CLICK, EXPOSURE, Catalog, Event, EventLog, truncate_pad
 from .evaluation import metric_values
 from .model import SeqModel
-from .nn import sigmoid
+from .nn import ADAM_BETA2, sigmoid
 
 POLICY_KINDS = ("uniform", "popularity", "model")
 
@@ -36,6 +36,8 @@ EXPLORE_EPS = 0.3      # fraction of slate slots filled uniformly
 POLICY_DIM = 16
 POLICY_EPOCHS = 2
 POLICY_LR = 0.01
+POLICY_BATCH = 256
+POLICY_MAX_LEN = 20    # length cap of the refit's sequences and of the prefixes it scores
 
 
 @dataclass
@@ -101,9 +103,9 @@ def generate_world(n_users: int, n_items: int, latent_dim: int,
 
 @dataclass
 class LoggingPolicy:
-    kind: str = "model"
-    slate_size: int = 10
-    rounds: int = 20
+    kind: str
+    slate_size: int
+    rounds: int
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -131,6 +133,8 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
     events_by_user: dict[str, list[Event]] = {u: [] for u in user_ids}
     scorer: SeqModel | None = None
 
+    # each user's click probabilities given their last click; they change only on a click
+    pis = [world.click_probs(u) for u in range(n_users)]
     for rnd in range(policy.rounds):
         if (policy.kind == "model" and rnd > 0
                 and sum(len(s) > 1 for s in click_seqs) >= 10):
@@ -138,9 +142,9 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
 
         # the model policy reinforces what the system has already shown,
         # independent of whether anyone liked it
-        pop = np.log1p(expo_counts)
+        pop_bonus = POP_BONUS * np.log1p(expo_counts)
         if scorer is not None:
-            max_len = min(20, max(2, max(len(s) for s in click_seqs)))
+            max_len = min(POLICY_MAX_LEN, max(2, max(len(s) for s in click_seqs)))
             prefixes = np.stack([
                 np.asarray(truncate_pad(s, max_len), dtype=np.int64)
                 for s in click_seqs])
@@ -159,31 +163,32 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
             else:
                 noise = rng.gumbel(0.0, NOISE, size=n_items)
                 if model_scores is not None and click_seqs[u]:
-                    scores = model_scores[u] + POP_BONUS * pop + noise
+                    scores = model_scores[u] + pop_bonus + noise
                 else:
-                    scores = POP_BONUS * pop + noise
+                    scores = pop_bonus + noise
                 n_explore = int(round(EXPLORE_EPS * m))
                 top = np.argsort(-scores, kind="stable")[:m - n_explore]
                 if n_explore:
-                    rest = np.setdiff1d(np.arange(n_items), top)
-                    slate = np.concatenate([top, rng.choice(rest, size=n_explore,
-                                                            replace=False)])
+                    rest = np.ones(n_items, dtype=bool)     # the sorted complement of top
+                    rest[top] = False
+                    explore = rng.choice(np.flatnonzero(rest), size=n_explore, replace=False)
+                    slate = np.concatenate([top, explore])
                 else:
                     slate = top
 
-            last = click_seqs[u][-1] - 1 if click_seqs[u] else None
-            pi = world.click_probs(u, last)
+            # slate items are distinct and the counts are read next round; the
+            # draws are the stream one scalar draw per slot would take
+            expo_counts[slate] += 1.0
+            draws = rng.random(len(slate))
             uid = user_ids[u]
             for slot, v in enumerate(slate):
                 t = rnd * m + slot
                 events_by_user[uid].append(Event(uid, item_ids[v], t, EXPOSURE))
-                expo_counts[v] += 1.0
-                if rng.random() < pi[v]:
+                if draws[slot] < pis[u][v]:
                     events_by_user[uid].append(Event(uid, item_ids[v], t, CLICK))
                     click_seqs[u].append(v + 1)
                     click_counts[v] += 1.0
-                    last = v
-                    pi = world.click_probs(u, last)
+                    pis[u] = world.click_probs(u, v)
 
     return EventLog(events_by_user, catalog)
 
@@ -193,11 +198,11 @@ def _fit_policy_model(world, click_seqs, seed: int) -> SeqModel:
     from .dro import train_model
 
     trainable = [s for s in click_seqs if len(s) > 1]
-    max_len = min(20, max(len(s) for s in trainable))
+    max_len = min(POLICY_MAX_LEN, max(len(s) for s in trainable))
     mat = sequences_to_matrix(trainable, max_len)
     model = SeqModel(world.n_items, POLICY_DIM, max_len, "recurrent", seed=seed)
     train_model(model, mat, method="none", epochs=POLICY_EPOCHS, lr=POLICY_LR,
-                batch_size=256, seed=seed)
+                batch_size=POLICY_BATCH, seed=seed, beta2=ADAM_BETA2)
     return model.freeze()
 
 

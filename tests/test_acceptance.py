@@ -300,7 +300,8 @@ def test_criterion_5_reductions():
         return SeqModel(n_items, 8, T, "attention", seed=4, align_heads=True)
 
     vanilla = fresh()
-    train_model(vanilla, seqs, method="none", epochs=3, seed=9)
+    fit = dict(epochs=3, seed=9, lr=0.005, batch_size=128, beta2=0.999)
+    train_model(vanilla, seqs, method="none", **fit)
 
     exact = {}
     runs = {
@@ -311,7 +312,7 @@ def test_criterion_5_reductions():
     }
     for label, kwargs in runs.items():
         m = fresh()
-        train_model(m, seqs, epochs=3, seed=9, **kwargs)
+        train_model(m, seqs, **fit, **kwargs)
         exact[label] = all(np.array_equal(m.params[k], vanilla.params[k])
                            for k in vanilla.params)
     dt = time.perf_counter() - t0

@@ -2,8 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drorec.dro import dro_loss, joint_loss, risk_vector, surrogate_risk
+
+TOL = 1e-10    # acceptance criterion 2's tolerance
+
+
+@st.composite
+def _q0_and_risks(draw):
+    """A nominal distribution over n items and a risk in [0, 1] per item."""
+    n = draw(st.integers(1, 30))
+    w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    risks = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    return w / w.sum(), risks
+
+
+@settings(max_examples=200)
+@given(_q0_and_risks(), st.floats(0.0, 1.0))
+def test_dro_loss_bounds_property(case, c):
+    # log E_q0[e^r] lies between the mean risk (Jensen) and the largest risk
+    q0, risks = case
+    val = dro_loss(q0, risks)
+    assert float(q0 @ risks) - TOL <= val <= risks.max() + TOL
+    assert abs(dro_loss(q0, np.full(len(q0), c)) - c) <= TOL
 
 
 def test_surrogate_risk_values():

@@ -4,12 +4,36 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drorec.evaluation import (MetricsReport, coverage, debiasedness_check,
                                floor_propensities, ideal_reward, metric_c,
                                metric_values, rank_items, snips_evaluate,
                                target_ranks)
 from drorec.model import SeqModel
+
+SNIPS_TOL = 1e-12    # acceptance criterion 4's tolerance
+
+
+@st.composite
+def _snips_case(draw):
+    """Per-user metric values in [0, 1] and positive propensities."""
+    n = draw(st.integers(1, 50))
+    c = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    rho = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    return c, rho
+
+
+@settings(max_examples=200)
+@given(_snips_case(), st.floats(0.0, 1.0), st.floats(1e-3, 1e3), st.randoms())
+def test_snips_invariances_property(case, k, scale, random):
+    c, rho = case
+    value = snips_evaluate(c, rho, k)
+    assert abs(snips_evaluate(c, scale * rho, k) - value) <= SNIPS_TOL
+    perm = np.array(random.sample(range(len(c)), len(c)))
+    assert abs(snips_evaluate(c[perm], rho[perm], k) - value) <= SNIPS_TOL
+    assert snips_evaluate(c, rho, 0.0) == float(c.mean())
 
 
 def test_metric_c_values():

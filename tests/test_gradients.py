@@ -111,7 +111,7 @@ def test_loss_scaling_linearity():
 
 
 def test_adam_rejects_shape_mismatch():
-    opt = Adam(["w"], lr=0.1)
+    opt = Adam(["w"], lr=0.1, beta2=0.999)
     params = {"w": np.zeros((2, 2))}
     with pytest.raises(ValueError):
         opt.step(params, {"w": np.zeros(3)})

@@ -97,7 +97,8 @@ def test_frozen_model_rejects_training():
     model.freeze()
     seqs = np.array([[0, 1, 2, 3]])
     with pytest.raises(RuntimeError):
-        train_model(model, seqs, epochs=1)
+        train_model(model, seqs, epochs=1, lr=0.005, batch_size=128, seed=0,
+                    beta2=0.999)
 
 
 def test_all_logits_matches_score():

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from drorec.data import parse_event_log, serialize_event_log
-from drorec.synthworld import (GroundTruthWorld, LoggingPolicy, exposure_gini,
+from drorec.data import (CLICK, EXPOSURE, Catalog, Event, EventLog,
+                         parse_event_log, serialize_event_log, truncate_pad)
+from drorec.synthworld import (EXPLORE_EPS, NOISE, POLICY_MAX_LEN, POP_BONUS,
+                               GroundTruthWorld, LoggingPolicy,
+                               _fit_policy_model, exposure_gini,
                                generate_world, oracle_evaluate,
                                run_feedback_loop,
                                true_preference_ranking_value)
@@ -69,6 +72,79 @@ def test_feedback_loop_deterministic(small_world):
     assert serialize_event_log(a) == serialize_event_log(b)
 
 
+def _reference_feedback_loop(world, policy, seed):
+    """The feedback loop written plainly: set difference for the explore
+    pool, one scalar draw per slot and click probabilities recomputed at
+    every user-round.  ``run_feedback_loop`` must reproduce its log."""
+    rng = np.random.default_rng(seed)
+    n_users, n_items = world.n_users, world.n_items
+    m = policy.slate_size
+    user_ids = [f"u{u:04d}" for u in range(n_users)]
+    item_ids = [f"i{v:04d}" for v in range(n_items)]
+    click_counts = np.zeros(n_items)
+    expo_counts = np.zeros(n_items)
+    click_seqs = [[] for _ in range(n_users)]
+    events_by_user = {u: [] for u in user_ids}
+    scorer = None
+    for rnd in range(policy.rounds):
+        if (policy.kind == "model" and rnd > 0
+                and sum(len(s) > 1 for s in click_seqs) >= 10):
+            scorer = _fit_policy_model(world, click_seqs, seed + rnd)
+        pop = np.log1p(expo_counts)
+        model_scores = None
+        if scorer is not None:
+            max_len = min(POLICY_MAX_LEN, max(2, max(len(s) for s in click_seqs)))
+            prefixes = np.stack([np.asarray(truncate_pad(s, max_len), dtype=np.int64)
+                                 for s in click_seqs])
+            H, _ = scorer.forward_states(prefixes)
+            model_scores = scorer.all_logits(H[:, -1, :], "main")
+        for u in range(n_users):
+            if policy.kind == "uniform":
+                slate = rng.choice(n_items, size=m, replace=False)
+            elif policy.kind == "popularity":
+                weights = click_counts + 1.0
+                slate = rng.choice(n_items, size=m, replace=False,
+                                   p=weights / weights.sum())
+            else:
+                noise = rng.gumbel(0.0, NOISE, size=n_items)
+                if model_scores is not None and click_seqs[u]:
+                    scores = model_scores[u] + POP_BONUS * pop + noise
+                else:
+                    scores = POP_BONUS * pop + noise
+                n_explore = int(round(EXPLORE_EPS * m))
+                top = np.argsort(-scores, kind="stable")[:m - n_explore]
+                slate = top
+                if n_explore:
+                    rest = np.setdiff1d(np.arange(n_items), top)
+                    slate = np.concatenate(
+                        [top, rng.choice(rest, size=n_explore, replace=False)])
+            last = click_seqs[u][-1] - 1 if click_seqs[u] else None
+            pi = world.click_probs(u, last)
+            uid = user_ids[u]
+            for slot, v in enumerate(slate):
+                t = rnd * m + slot
+                events_by_user[uid].append(Event(uid, item_ids[v], t, EXPOSURE))
+                expo_counts[v] += 1.0
+                if rng.random() < pi[v]:
+                    events_by_user[uid].append(Event(uid, item_ids[v], t, CLICK))
+                    click_seqs[u].append(v + 1)
+                    click_counts[v] += 1.0
+                    last = v
+                    pi = world.click_probs(u, last)
+    return EventLog(events_by_user, Catalog(user_ids, item_ids))
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("slate_size", [1, 4, 10])
+@pytest.mark.parametrize("kind", ["uniform", "popularity", "model"])
+def test_feedback_loop_matches_reference(small_world, kind, slate_size, seed):
+    # slate size 1 has no explore slot; 4 and 10 have one and three
+    policy = LoggingPolicy(kind=kind, slate_size=slate_size, rounds=4)
+    got = serialize_event_log(run_feedback_loop(small_world, policy, seed=seed))
+    want = serialize_event_log(_reference_feedback_loop(small_world, policy, seed))
+    assert got == want
+
+
 def test_skewed_policies_concentrate_exposure(small_world):
     uniform = run_feedback_loop(small_world, LoggingPolicy(kind="uniform",
                                                            slate_size=4,
@@ -81,7 +157,7 @@ def test_skewed_policies_concentrate_exposure(small_world):
 
 def test_unknown_policy_kind():
     with pytest.raises(ValueError):
-        LoggingPolicy(kind="greedy")
+        LoggingPolicy(kind="greedy", slate_size=10, rounds=20)
 
 
 def test_oracle_evaluate_deterministic_and_bounded(small_world):

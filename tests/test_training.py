@@ -8,6 +8,9 @@ import pytest
 from drorec.dro import NonFiniteLossError, train_model
 from drorec.model import SeqModel
 
+# the optimizer settings these tests were written against
+OPT = dict(lr=0.005, beta2=0.999)
+
 
 def _seqs(seed=0, n=16, t=6, n_items=9):
     rng = np.random.default_rng(seed)
@@ -22,8 +25,8 @@ def test_training_deterministic():
     seqs = _seqs()
     m1 = SeqModel(9, 6, 6, "recurrent", seed=3)
     m2 = SeqModel(9, 6, 6, "recurrent", seed=3)
-    train_model(m1, seqs, epochs=2, seed=7, batch_size=8)
-    train_model(m2, seqs, epochs=2, seed=7, batch_size=8)
+    train_model(m1, seqs, epochs=2, seed=7, batch_size=8, **OPT)
+    train_model(m2, seqs, epochs=2, seed=7, batch_size=8, **OPT)
     for k in m1.params:
         assert np.array_equal(m1.params[k], m2.params[k])
 
@@ -33,7 +36,7 @@ def test_training_log_jsonl(tmp_path):
     model = SeqModel(9, 6, 6, "attention", seed=0)
     path = tmp_path / "log.jsonl"
     records = train_model(model, seqs, epochs=3, seed=0, batch_size=8,
-                          log_path=path)
+                          log_path=path, **OPT)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     for i, line in enumerate(lines):
@@ -50,7 +53,7 @@ def test_training_log_jsonl(tmp_path):
 def test_loss_decreases():
     seqs = _seqs(n=32)
     model = SeqModel(9, 8, 6, "recurrent", seed=1)
-    records = train_model(model, seqs, epochs=8, seed=1, batch_size=16)
+    records = train_model(model, seqs, epochs=8, seed=1, batch_size=16, **OPT)
     assert records[-1]["loss_rec"] < records[0]["loss_rec"]
 
 
@@ -61,7 +64,7 @@ def test_dro_training_finite_for_moderate_a():
     for a in (0.01, 0.1, 1.0, 10.0):
         model = SeqModel(9, 6, 6, "attention", seed=2)
         records = train_model(model, seqs, method="dro", a=a, q0_steps=q0,
-                              epochs=2, seed=2, batch_size=6)
+                              epochs=2, seed=2, batch_size=6, **OPT)
         for rec in records:
             assert np.isfinite(rec["loss_joint"])
 
@@ -69,15 +72,16 @@ def test_dro_training_finite_for_moderate_a():
 def test_missing_inputs_rejected():
     seqs = _seqs()
     model = SeqModel(9, 6, 6, "recurrent", seed=0)
+    fit = dict(epochs=10, batch_size=128, seed=0, **OPT)
     with pytest.raises(ValueError):
-        train_model(model, seqs, method="dro", a=1.0)        # no q0
+        train_model(model, seqs, method="dro", a=1.0, **fit)         # no q0
     with pytest.raises(ValueError):
-        train_model(model, seqs, method="ips")               # no propensities
+        train_model(model, seqs, method="ips", **fit)                # no propensities
     with pytest.raises(ValueError):
         train_model(model, seqs, method="ips_c",
-                    prop_steps=np.ones((16, 5)))             # no clip
+                    prop_steps=np.ones((16, 5)), **fit)              # no clip
     with pytest.raises(ValueError):
-        train_model(model, seqs, method="dropout")
+        train_model(model, seqs, method="dropout", **fit)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -86,4 +90,4 @@ def test_divergence_raises():
     model = SeqModel(9, 6, 6, "recurrent", seed=0)
     model.params["emb"][1:] = np.nan   # corrupt parameters poison the loss
     with pytest.raises(NonFiniteLossError):
-        train_model(model, seqs, epochs=1, seed=0)
+        train_model(model, seqs, epochs=1, seed=0, batch_size=128, **OPT)

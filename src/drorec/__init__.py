@@ -5,7 +5,7 @@ evaluation on a synthetic feedback-loop world."""
 __version__ = "0.1.0"
 
 from .config import ExperimentConfig, load_config, save_config
-from .data import (Catalog, DatasetSplit, Event, EventLog, parse_event_log,
+from .data import (Catalog, DatasetSplit, EventLog, parse_event_log,
                    serialize_event_log, split_by_user, split_exposure,
                    truncate_pad)
 from .dro import dro_loss, joint_loss, surrogate_risk, train_model

@@ -5,6 +5,12 @@ The on-disk format is a UTF-8 TSV with one event per line:
 or ``click``.  Lines starting with ``#`` are ignored.  Clicks are only
 valid on items the same user was exposed to at an earlier-or-equal
 timestamp; anything else is treated as a corrupt log.
+
+In memory a log is an `EventLog`: integer columns (user index, item index,
+timestamp, click flag) under a `Catalog`, one row per event, sorted by
+user, then time.  This module alone reads and writes those columns; the
+exposure simulator, the feedback loop and the pipeline reach a log only
+through the functions and methods here.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ CLICK = "click"
 
 PAD_INDEX = 0
 PAD_ITEM = "<pad>"        # the id item_of gives the pad index
+NEVER = np.iinfo(np.int64).max   # exposure time of a pair never exposed, so no event may have it
 
 
 class ParseError(ValueError):
@@ -36,14 +43,6 @@ class ConfigurationError(ValueError):
 
 class CatalogMismatchError(ValueError):
     """A checkpoint was trained on a different item catalog."""
-
-
-@dataclass(frozen=True)
-class Event:
-    user: str
-    item: str
-    timestamp: int
-    kind: str
 
 
 @dataclass
@@ -63,7 +62,6 @@ class Catalog:
             raise ValueError("duplicate item ids")
         if PAD_ITEM in self.item_ids:
             raise ValueError("pad item collides with a catalog item")
-        self._item_index = {v: i + 1 for i, v in enumerate(self.item_ids)}
         self._user_index = {u: i for i, u in enumerate(self.user_ids)}
 
     @property
@@ -73,9 +71,6 @@ class Catalog:
     @property
     def n_users(self) -> int:
         return len(self.user_ids)
-
-    def item_index(self, item: str) -> int:
-        return self._item_index[item]
 
     def user_index(self, user: str) -> int:
         return self._user_index[user]
@@ -98,29 +93,49 @@ class Catalog:
                 f"but the event log's catalog is {self.fingerprint}")
 
 
-@dataclass
+@dataclass(eq=False)
 class EventLog:
-    """Events grouped per user and sorted by timestamp."""
+    """One row per event, as integer columns under a catalog: ``user``
+    indexes ``catalog.user_ids``, ``item`` is 1-based into ``catalog.item_ids``.
+    Construction sorts the rows by user, then time, exposures before clicks
+    at one time, stably, so rows that tie keep their given order."""
 
-    events_by_user: dict[str, list[Event]]
+    user: np.ndarray     # (n,) int64
+    item: np.ndarray     # (n,) int64
+    time: np.ndarray     # (n,) int64
+    click: np.ndarray    # (n,) bool
     catalog: Catalog
 
-    def all_events(self) -> list[Event]:
-        out: list[Event] = []
-        for user in self.catalog.user_ids:
-            out.extend(self.events_by_user.get(user, []))
-        return out
+    def __post_init__(self):
+        user, item, time = (np.asarray(c, dtype=np.int64) for c in (self.user, self.item, self.time))
+        click = np.asarray(self.click, dtype=bool)
+        order = np.lexsort((click, time, user))
+        self.user, self.item, self.time, self.click = (c[order] for c in (user, item, time, click))
 
-    def exposure_events(self) -> list[Event]:
-        return [e for e in self.all_events() if e.kind == EXPOSURE]
+    def rows(self, index) -> "EventLog":
+        """The rows ``index`` selects, as a log over the same catalog."""
+        return EventLog(self.user[index], self.item[index], self.time[index],
+                        self.click[index], self.catalog)
 
-    def interaction_seq(self, user: str) -> list[str]:
-        """The user's clicked items in timestamp order."""
-        return [e.item for e in self.events_by_user.get(user, []) if e.kind == CLICK]
+    def item_sequences(self, clicks: bool) -> list[list[int]]:
+        """For every catalog user, the item indices of their clicks, or
+        of their exposures, in row order."""
+        rows = self.click == clicks
+        bounds = np.searchsorted(self.user[rows], np.arange(self.catalog.n_users + 1)).tolist()
+        items = self.item[rows].tolist()
+        return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def exposure_seq(self, user: str) -> list[str]:
-        """All items exposed to the user in timestamp order."""
-        return [e.item for e in self.events_by_user.get(user, []) if e.kind == EXPOSURE]
+    def exposure_counts(self) -> np.ndarray:
+        """Exposures per item, at position item index - 1."""
+        return np.bincount(self.item[~self.click] - 1, minlength=self.catalog.n_items)
+
+    def shared_events(self, other: "EventLog") -> int:
+        """How many distinct events, equal in all four columns, both logs
+        hold; the two must index one catalog."""
+        def keys(log):      # each row's four columns as one 32-byte value
+            rows = np.stack([log.user, log.item, log.time, log.click.astype(np.int64)], axis=1)
+            return rows.view(np.dtype((np.void, rows.itemsize * 4))).ravel()
+        return len(np.intersect1d(keys(self), keys(other)))
 
 
 @dataclass
@@ -133,13 +148,13 @@ class DatasetSplit:
 def parse_event_log(stream: Iterable[str]) -> EventLog:
     """Parse TSV lines into an EventLog, checking structural integrity.
 
-    Raises ParseError on malformed lines and IntegrityError when a click
-    has no prior exposure of the same item for the same user.
+    Users and items are indexed in order of first appearance.  Raises
+    ParseError on malformed lines and IntegrityError when a click has no
+    prior exposure of the same item for the same user.
     """
-    events_by_user: dict[str, list[Event]] = {}
-    user_order: list[str] = []
-    item_order: list[str] = []
-    seen_items: set[str] = set()
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    users, items, times, clicks = [], [], [], []
 
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
@@ -155,50 +170,46 @@ def parse_event_log(stream: Iterable[str]) -> EventLog:
             raise ParseError(f"line {lineno}: non-integer timestamp {ts_str!r}") from None
         if ts < 0:
             raise ParseError(f"line {lineno}: negative timestamp {ts}")
+        if ts >= NEVER:
+            raise ParseError(f"line {lineno}: timestamp {ts} out of range")
         if kind not in (EXPOSURE, CLICK):
             raise ParseError(f"line {lineno}: unknown kind {kind!r}")
-        if user not in events_by_user:
-            events_by_user[user] = []
-            user_order.append(user)
-        if item not in seen_items:
-            seen_items.add(item)
-            item_order.append(item)
-        events_by_user[user].append(Event(user, item, ts, kind))
+        users.append(user_index.setdefault(user, len(user_index)))
+        items.append(item_index.setdefault(item, len(item_index) + 1))
+        times.append(ts)
+        clicks.append(kind == CLICK)
 
-    for user, events in events_by_user.items():
-        events.sort(key=lambda e: (e.timestamp, 0 if e.kind == EXPOSURE else 1))
-        exposed_at: dict[str, int] = {}
-        for e in events:
-            if e.kind == EXPOSURE:
-                prev = exposed_at.get(e.item)
-                if prev is None or e.timestamp < prev:
-                    exposed_at[e.item] = e.timestamp
-            else:
-                if e.item not in exposed_at or exposed_at[e.item] > e.timestamp:
-                    raise IntegrityError(
-                        f"click on {e.item!r} by {user!r} at t={e.timestamp} "
-                        "without a prior exposure"
-                    )
-
-    catalog = Catalog(user_order, item_order)
-    return EventLog(events_by_user, catalog)
+    log = EventLog(users, items, times, clicks, Catalog(list(user_index), list(item_index)))
+    # the earliest exposure time of every (user, item) pair that occurs
+    pairs, pair_of = np.unique(log.user * (log.catalog.n_items + 1) + log.item, return_inverse=True)
+    exposed_at = np.full(len(pairs), NEVER)
+    np.minimum.at(exposed_at, pair_of[~log.click], log.time[~log.click])
+    bad = np.flatnonzero(log.click & ~(exposed_at[pair_of] <= log.time))
+    if len(bad):
+        user, item, ts = (int(c[bad[0]]) for c in (log.user, log.item, log.time))
+        raise IntegrityError(f"click on {log.catalog.item_of(item)!r} by "
+                             f"{log.catalog.user_ids[user]!r} at t={ts} without a prior exposure")
+    return log
 
 
 def serialize_event_log(log: EventLog) -> str:
     """Inverse of parse_event_log up to event ordering within a user."""
-    lines = []
-    for e in log.all_events():
-        lines.append(f"{e.user}\t{e.item}\t{e.timestamp}\t{e.kind}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    users, items, kinds = log.catalog.user_ids, log.catalog.item_ids, (EXPOSURE, CLICK)
+    return "".join(f"{users[u]}\t{items[i - 1]}\t{t}\t{kinds[c]}\n"
+                   for u, i, t, c in zip(log.user.tolist(), log.item.tolist(),
+                                         log.time.tolist(), log.click.tolist()))
 
 
 def appearance_ordered(log: EventLog) -> EventLog:
     """The same events under the catalog that parse_event_log gives their
     serialization: users and items in order of first appearance."""
-    events = log.all_events()
-    users = list(dict.fromkeys(e.user for e in events))
-    items = list(dict.fromkeys(e.item for e in events))
-    return EventLog({u: log.events_by_user[u] for u in users}, Catalog(users, items))
+    # rows run in user-index order, so sorted users are in order of appearance
+    users, user = np.unique(log.user, return_inverse=True)
+    items, first, item = np.unique(log.item, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    catalog = Catalog([log.catalog.user_ids[u] for u in users.tolist()],
+                      [log.catalog.item_of(i) for i in items[order].tolist()])
+    return EventLog(user, np.argsort(order)[item] + 1, log.time, log.click, catalog)
 
 
 def split_by_user(log: EventLog, ratios: tuple[float, float, float], seed: int) -> DatasetSplit:
@@ -231,23 +242,21 @@ def split_by_user(log: EventLog, ratios: tuple[float, float, float], seed: int) 
     )
 
 
-def split_exposure(log: EventLog, fraction: float) -> tuple[list[Event], list[Event]]:
+def split_exposure(log: EventLog, fraction: float) -> tuple[EventLog, EventLog]:
     """Split each user's exposure stream chronologically.
 
     The earliest ceil(fraction * n) exposures go to the first part (the
     one the exposure simulator trains on), the rest to the second (the
-    evaluation-simulator part).
+    evaluation-simulator part); both are logs over the catalog of ``log``.
     """
     if not (0.0 < fraction < 1.0):
         raise ConfigurationError(f"exposure fraction must be in (0, 1), got {fraction}")
-    first: list[Event] = []
-    second: list[Event] = []
-    for user in log.catalog.user_ids:
-        expos = [e for e in log.events_by_user.get(user, []) if e.kind == EXPOSURE]
-        cut = int(np.ceil(fraction * len(expos)))
-        first.extend(expos[:cut])
-        second.extend(expos[cut:])
-    return first, second
+    exposures = np.flatnonzero(~log.click)
+    users = log.user[exposures]
+    counts = np.bincount(users, minlength=log.catalog.n_users)
+    rank = np.arange(len(exposures)) - (np.cumsum(counts) - counts)[users]
+    first = rank < np.ceil(fraction * counts)[users]
+    return log.rows(exposures[first]), log.rows(exposures[~first])
 
 
 def truncate_pad(seq: list[int], max_len: int) -> list[int]:
@@ -268,5 +277,5 @@ def sequences_to_matrix(seqs: list[list[int]], max_len: int) -> np.ndarray:
 
 def index_sequences(log: EventLog, users: list[str]) -> list[list[int]]:
     """Per-user clicked item-index sequences for the given users."""
-    cat = log.catalog
-    return [[cat.item_index(v) for v in log.interaction_seq(u)] for u in users]
+    seqs = log.item_sequences(clicks=True)
+    return [seqs[log.catalog.user_index(u)] for u in users]

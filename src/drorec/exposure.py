@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Catalog, Event, sequences_to_matrix
+from .data import Catalog, EventLog, sequences_to_matrix
 from .model import SeqModel
 from .nn import ADAM_BETA2, load_params, save_params, softmax
 
@@ -45,33 +45,15 @@ class PopularityTable:
         return cls(counts=counts, scores=scores)
 
 
-def popularity_from(events: list[Event], catalog: Catalog) -> PopularityTable:
-    """Count exposures per item into a popularity table."""
-    counts = np.zeros(catalog.n_items, dtype=np.int64)
-    for e in events:
-        counts[catalog.item_index(e.item) - 1] += 1
-    return PopularityTable.from_counts(counts)
+def popularity_from(log: EventLog) -> PopularityTable:
+    """Count the log's exposures per item into a popularity table."""
+    return PopularityTable.from_counts(log.exposure_counts())
 
 
-def exposure_sequences(events: list[Event], catalog: Catalog) -> list[list[int]]:
-    """Per-user chronological exposure index sequences from an event subset."""
-    per_user: dict[str, list[Event]] = {}
-    for e in events:
-        per_user.setdefault(e.user, []).append(e)
-    seqs = []
-    for user in catalog.user_ids:
-        evs = sorted(per_user.get(user, []), key=lambda e: e.timestamp)
-        if evs:
-            seqs.append([catalog.item_index(e.item) for e in evs])
-    return seqs
-
-
-def check_no_leakage(events: list[Event], forbidden: list[Event]) -> None:
-    bad = set(events) & set(forbidden)
-    if bad:
-        raise LeakageError(
-            f"{len(bad)} training events also appear in the evaluation partition"
-        )
+def check_no_leakage(log: EventLog, forbidden: EventLog) -> None:
+    shared = log.shared_events(forbidden)
+    if shared:
+        raise LeakageError(f"{shared} training events also appear in the evaluation partition")
 
 
 def train_exposure_component(mat: np.ndarray, catalog: Catalog, arch: str, *,
@@ -172,18 +154,20 @@ class ExposureSimulator:
                    beta=float(meta["beta"]))
 
 
-def build_simulator(events: list[Event], catalog: Catalog, *,
-                    forbidden: list[Event], dim: int, max_len: int, beta: float,
-                    epochs: int, lr: float, batch_size: int,
+def build_simulator(log: EventLog, *, forbidden: EventLog, dim: int, max_len: int,
+                    beta: float, epochs: int, lr: float, batch_size: int,
                     seed: int) -> ExposureSimulator:
-    """Train both components on one exposure matrix built from ``events``,
-    none of which may be in ``forbidden``, and assemble the frozen mixture."""
-    if not events:
+    """Train both components on one exposure matrix built from the
+    exposures of ``log``, none of which may be in ``forbidden``, and
+    assemble the frozen mixture."""
+    popularity = popularity_from(log)
+    if not popularity.counts.any():
         raise ValueError("no exposure events to train on")
-    check_no_leakage(events, forbidden)
-    mat = sequences_to_matrix(exposure_sequences(events, catalog), max_len)
+    check_no_leakage(log, forbidden)
+    # each user's exposures in time order, users without one left out
+    mat = sequences_to_matrix([s for s in log.item_sequences(clicks=False) if s], max_len)
     fit = dict(dim=dim, epochs=epochs, lr=lr, batch_size=batch_size)
-    comp_a = train_exposure_component(mat, catalog, "attention", seed=seed, **fit)
-    comp_b = train_exposure_component(mat, catalog, "recurrent", seed=seed + 1, **fit)
+    comp_a = train_exposure_component(mat, log.catalog, "attention", seed=seed, **fit)
+    comp_b = train_exposure_component(mat, log.catalog, "recurrent", seed=seed + 1, **fit)
     return ExposureSimulator(component_a=comp_a, component_b=comp_b,
-                             popularity=popularity_from(events, catalog), beta=beta)
+                             popularity=popularity, beta=beta)

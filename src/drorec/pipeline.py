@@ -64,8 +64,8 @@ def load_log(out_dir: Path) -> EventLog:
 @dataclass
 class PreparedData:
     log: EventLog
-    expo_part: list
-    eval_part: list
+    expo_part: EventLog             # the earlier exposures of every user
+    eval_part: EventLog             # the later ones
     train_seqs: np.ndarray          # (n_train, max_click_len)
     test_targets: np.ndarray        # held-out next click per test user
     test_prefix_mat: np.ndarray     # their clicks before it
@@ -101,7 +101,7 @@ def fit_simulator(config: ExperimentConfig, data: PreparedData,
     events, forbidden = data.expo_part, data.eval_part
     if evaluation:
         events, forbidden = forbidden, events
-    return build_simulator(events, data.log.catalog, forbidden=forbidden,
+    return build_simulator(events, forbidden=forbidden,
                            dim=config.expo_dim, max_len=config.max_expo_len,
                            beta=config.beta, epochs=config.expo_epochs, lr=config.lr,
                            batch_size=config.batch_size,
@@ -223,13 +223,13 @@ def evaluate(config: ExperimentConfig, out_dir: Path,
 def report_runs(run_dirs: list[Path], out_path: Path) -> list[dict]:
     """Aggregate metrics.json across runs into a mean +/- std CSV table."""
     rows_by_key: dict[str, list[float]] = {}
-    labels = []
     for run in run_dirs:
         path = Path(run) / METRICS_JSON
         if not path.exists():
             raise FileNotFoundError(f"no {METRICS_JSON} in run dir {run}")
         payload = json.loads(path.read_text())
-        labels.append(str(run))
+        if not (isinstance(payload, dict) and {"values", "coverage"} <= payload.keys()):
+            raise ValueError(f"{path} is not a metrics report: it lacks 'values' or 'coverage'")
         for key, variants in payload["values"].items():
             for variant, value in variants.items():
                 rows_by_key.setdefault(f"{key}/{variant}", []).append(value)

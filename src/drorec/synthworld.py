@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLICK, EXPOSURE, Catalog, Event, EventLog, truncate_pad
+from .data import Catalog, EventLog, truncate_pad
 from .evaluation import metric_values
 from .model import SeqModel
 from .nn import ADAM_BETA2, sigmoid
@@ -123,14 +123,11 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
     rng = np.random.default_rng(seed)
     n_users, n_items = world.n_users, world.n_items
     m = policy.slate_size
-    user_ids = [f"u{u:04d}" for u in range(n_users)]
-    item_ids = [f"i{v:04d}" for v in range(n_items)]
-    catalog = Catalog(list(user_ids), list(item_ids))
-
     click_counts = np.zeros(n_items)
     expo_counts = np.zeros(n_items)
     click_seqs: list[list[int]] = [[] for _ in range(n_users)]   # 1-based indices
-    events_by_user: dict[str, list[Event]] = {u: [] for u in user_ids}
+    shown = np.empty((policy.rounds, n_users, m), dtype=np.int64)  # 0-based slate items
+    clicked = np.zeros(shown.shape, dtype=bool)
     scorer: SeqModel | None = None
 
     # each user's click probabilities given their last click; they change only on a click
@@ -178,19 +175,23 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
 
             # slate items are distinct and the counts are read next round; the
             # draws are the stream one scalar draw per slot would take
+            shown[rnd, u] = slate
             expo_counts[slate] += 1.0
             draws = rng.random(len(slate))
-            uid = user_ids[u]
             for slot, v in enumerate(slate):
-                t = rnd * m + slot
-                events_by_user[uid].append(Event(uid, item_ids[v], t, EXPOSURE))
                 if draws[slot] < pis[u][v]:
-                    events_by_user[uid].append(Event(uid, item_ids[v], t, CLICK))
+                    clicked[rnd, u, slot] = True
                     click_seqs[u].append(v + 1)
                     click_counts[v] += 1.0
                     pis[u] = world.click_probs(u, v)
 
-    return EventLog(events_by_user, catalog)
+    # slot s of round r is shown at time r * m + s, and clicked then if it is
+    kinds, rounds, users, slots = np.indices((2,) + shown.shape)
+    rows = np.stack([np.ones_like(clicked), clicked])
+    return EventLog(user=users[rows], item=np.stack([shown, shown])[rows] + 1,
+                    time=(rounds * m + slots)[rows], click=kinds[rows] == 1,
+                    catalog=Catalog([f"u{u:04d}" for u in range(n_users)],
+                                    [f"i{v:04d}" for v in range(n_items)]))
 
 
 def _fit_policy_model(world, click_seqs, seed: int) -> SeqModel:
@@ -208,10 +209,7 @@ def _fit_policy_model(world, click_seqs, seed: int) -> SeqModel:
 
 def exposure_gini(log: EventLog) -> float:
     """Gini coefficient of per-item exposure counts (0 = even, 1 = skewed)."""
-    counts = np.zeros(log.catalog.n_items)
-    for e in log.exposure_events():
-        counts[log.catalog.item_index(e.item) - 1] += 1
-    x = np.sort(counts)
+    x = np.sort(log.exposure_counts())
     n = len(x)
     total = x.sum()
     if total == 0:

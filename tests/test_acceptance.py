@@ -26,7 +26,7 @@ import pytest
 
 from drorec import pipeline
 from drorec.config import ExperimentConfig
-from drorec.data import index_sequences, sequences_to_matrix
+from drorec.data import sequences_to_matrix
 from drorec.dro import batch_objective, dro_loss, train_model
 from drorec.evaluation import coverage, debiasedness_check, snips_evaluate
 from drorec.exposure import build_simulator
@@ -107,7 +107,7 @@ def test_criterion_1_exposure_distribution_exactness():
     cfg = ExperimentConfig(n_users=60, n_items=40, latent_dim=4,
                            slate_size=6, rounds=6)
     data = pipeline.prepare(cfg, log)
-    sim = build_simulator(data.expo_part, log.catalog, forbidden=data.eval_part,
+    sim = build_simulator(data.expo_part, forbidden=data.eval_part,
                           dim=8, max_len=40, beta=cfg.beta,
                           epochs=1, lr=cfg.lr, batch_size=128, seed=0)
 
@@ -348,20 +348,19 @@ def _study_seed(seed: int) -> dict:
     cat = log.catalog
 
     prefixes, uids, henc_rows = [], [], []
-    for u in cat.user_ids:
-        s = index_sequences(log, [u])[0]
+    for u, (s, shown) in enumerate(zip(log.item_sequences(clicks=True),
+                                       log.item_sequences(clicks=False))):
         if len(s) < 2:
             continue
         prefixes.append(s[:-1])
-        uids.append(cat.user_index(u))
-        expo = Counter(log.exposure_seq(u))
-        clicked = set(log.interaction_seq(u))
-        henc_rows.append([cat.item_index(i) for i, n in expo.items()
-                          if n >= 3 and i not in clicked])
+        uids.append(u)
+        expo = Counter(shown)
+        clicked = set(s)
+        henc_rows.append([i for i, n in expo.items() if n >= 3 and i not in clicked])
     pre_mat = sequences_to_matrix(prefixes, cfg.max_click_len)
 
     sim = pipeline.fit_simulator(cfg, data)
-    q0 = sim.q0_all_positions(data.train_seqs)[:, :-1, :]
+    q0 = sim.q0_blocks(data.train_seqs, lambda q0, _: q0[:, :-1])
     base = pipeline.warm_start(cfg, data)
 
     row = {}
@@ -385,7 +384,7 @@ def _study_seed(seed: int) -> dict:
     return row
 
 
-def _simulator_recalls(cfg, data, cat, sim):
+def _simulator_recalls(cfg, data, sim):
     """Held-out next-exposure Recall@10 of the mixture vs each component.
 
     Teacher-forced: each held-out exposure position is predicted from
@@ -395,21 +394,16 @@ def _simulator_recalls(cfg, data, cat, sim):
     modeling the within-slate ordering, which only the sequential
     components can condition on.
     """
-    seq_by_user: dict[str, list[int]] = {}
-    cut_by_user: dict[str, int] = {}
-    for e in sorted(data.expo_part, key=lambda e: e.timestamp):
-        seq_by_user.setdefault(e.user, []).append(cat.item_index(e.item))
-    for u, s in seq_by_user.items():
-        cut_by_user[u] = len(s)
-    for e in sorted(data.eval_part, key=lambda e: e.timestamp):
-        seq_by_user.setdefault(e.user, []).append(cat.item_index(e.item))
-    users = [u for u in seq_by_user
-             if 0 < cut_by_user.get(u, 0) < len(seq_by_user[u])]
-    mat = sequences_to_matrix([seq_by_user[u][:cfg.max_expo_len] for u in users],
-                              cfg.max_expo_len)
-    pad = np.array([max(0, cfg.max_expo_len - len(seq_by_user[u]))
-                    for u in users])
-    cuts = np.array([min(cut_by_user[u], cfg.max_expo_len) for u in users])
+    first = data.expo_part.item_sequences(clicks=False)
+    later = data.eval_part.item_sequences(clicks=False)
+    # users in order of their first exposure, ties in catalog order
+    by_time = np.argsort(data.expo_part.time, kind="stable")
+    users = [u for u in dict.fromkeys(data.expo_part.user[by_time].tolist())
+             if later[u]]
+    seqs = [first[u] + later[u] for u in users]
+    mat = sequences_to_matrix([s[:cfg.max_expo_len] for s in seqs], cfg.max_expo_len)
+    pad = np.array([max(0, cfg.max_expo_len - len(s)) for s in seqs])
+    cuts = np.array([min(len(first[u]), cfg.max_expo_len) for u in users])
 
     Ha, _ = sim.component_a.forward_states(mat)
     Hb, _ = sim.component_b.forward_states(mat)
@@ -485,8 +479,7 @@ def _simulator_seed(seed: int) -> dict:
                            rounds=cfg.rounds)
     log = run_feedback_loop(world, policy, seed=seed)
     data = pipeline.prepare(cfg, log)
-    return _simulator_recalls(cfg, data, log.catalog,
-                              pipeline.fit_simulator(cfg, data))
+    return _simulator_recalls(cfg, data, pipeline.fit_simulator(cfg, data))
 
 
 def test_criterion_9_overestimation_penalty(study):

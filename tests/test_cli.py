@@ -80,7 +80,8 @@ def test_simulate_returns_the_log_the_cli_reads(tiny_config, tmp_path):
     read = load_log(tmp_path / "lib")
     assert log.catalog.item_ids == read.catalog.item_ids
     assert log.catalog.user_ids == read.catalog.user_ids
-    assert log.events_by_user == read.events_by_user
+    for column in ("user", "item", "time", "click"):
+        assert np.array_equal(getattr(log, column), getattr(read, column))
 
 
 def test_main_keeps_freed_memory_before_dispatch(monkeypatch):
@@ -112,6 +113,18 @@ def test_cli_reports_missing_files(tmp_path, capsys):
     save_config(cfg, path)
     assert main(["evaluate", "--config", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", ["{}", '{"values": {}}', "[1, 2]"])
+def test_report_rejects_a_metrics_file_without_its_fields(tmp_path, capsys, payload):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "metrics.json").write_text(payload)
+    assert main(["report", str(run), "--table", str(tmp_path / "report.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ")
+    assert str(run / "metrics.json") in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_evaluation_deterministic(tiny_config):

@@ -1,6 +1,7 @@
 """Event-log parsing, catalog indexing and dataset splits."""
 
 import io
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drorec.data import (CLICK, EXPOSURE, PAD_INDEX, PAD_ITEM, Catalog,
-                         ConfigurationError, Event, EventLog, IntegrityError,
+                         ConfigurationError, EventLog, IntegrityError,
                          ParseError, appearance_ordered, index_sequences,
                          parse_event_log, sequences_to_matrix,
                          serialize_event_log, split_by_user, split_exposure,
@@ -24,13 +25,26 @@ u2\ti2\t2\tclick
 """
 
 
+def _rows(log):
+    """The log's events as (user id, item id, timestamp, kind), in row order."""
+    cat = log.catalog
+    return [(cat.user_ids[u], cat.item_of(i), t, CLICK if c else EXPOSURE)
+            for u, i, t, c in zip(log.user.tolist(), log.item.tolist(),
+                                  log.time.tolist(), log.click.tolist())]
+
+
+def _parse(text):
+    return parse_event_log(io.StringIO(text))
+
+
 def test_parse_roundtrip():
-    log = parse_event_log(io.StringIO(GOOD_LOG))
+    log = _parse(GOOD_LOG)
     assert log.catalog.n_users == 2
     assert log.catalog.n_items == 2
-    text = serialize_event_log(log)
-    log2 = parse_event_log(io.StringIO(text))
-    assert log2.all_events() == log.all_events()
+    assert log.user.dtype == log.item.dtype == log.time.dtype == np.int64
+    assert log.click.dtype == bool
+    log2 = _parse(serialize_event_log(log))
+    assert _rows(log2) == _rows(log)
 
 
 def test_parse_rejects_malformed_line():
@@ -54,14 +68,21 @@ def test_click_without_exposure_is_integrity_error():
 
 
 def test_click_at_same_timestamp_as_exposure_is_valid():
-    log = parse_event_log(io.StringIO("u1\ti1\t3\texposure\nu1\ti1\t3\tclick\n"))
-    assert log.interaction_seq("u1") == ["i1"]
+    log = _parse("u1\ti1\t3\tclick\nu1\ti1\t3\texposure\n")
+    assert _rows(log) == [("u1", "i1", 3, EXPOSURE), ("u1", "i1", 3, CLICK)]
+    assert index_sequences(log, ["u1"]) == [[1]]
+
+
+@pytest.mark.parametrize("ts", [2**63 - 1, 2**63])
+def test_timestamp_outside_int64_is_parse_error(ts):
+    # the int64 maximum marks a pair never exposed, so no event may carry it
+    with pytest.raises(ParseError, match=f"^line 2: timestamp {ts} out of range$"):
+        _parse(f"u1\ti1\t0\texposure\nu1\ti1\t{ts}\tclick\n")
 
 
 def test_catalog_reserves_pad_index():
     cat = Catalog(["u1"], ["a", "b"])
-    assert cat.item_index("a") == 1
-    assert cat.item_index("b") == 2
+    assert cat.item_of(1) == "a"
     assert cat.item_of(0) == PAD_ITEM
     assert cat.item_of(2) == "b"
     with pytest.raises(ValueError):
@@ -69,18 +90,10 @@ def test_catalog_reserves_pad_index():
 
 
 def _toy_log(n_users=10, clicks_per_user=3):
-    events = {}
-    users = [f"u{i}" for i in range(n_users)]
-    items = [f"i{j}" for j in range(5)]
-    for i, u in enumerate(users):
-        evs = []
-        for t in range(clicks_per_user):
-            item = items[(i + t) % 5]
-            evs.append(Event(u, item, 2 * t, EXPOSURE))
-            evs.append(Event(u, item, 2 * t + 1, CLICK))
-        events[u] = evs
-    from drorec.data import EventLog
-    return EventLog(events, Catalog(users, items))
+    """User i is shown item (i + t) % 5 at time 2t and clicks it at 2t + 1."""
+    lines = [f"u{i}\ti{(i + t) % 5}\t{2 * t + click}\t{CLICK if click else EXPOSURE}\n"
+             for i in range(n_users) for t in range(clicks_per_user) for click in (0, 1)]
+    return _parse("".join(lines))
 
 
 def test_split_by_user_partitions():
@@ -108,17 +121,19 @@ def test_split_by_user_validates_ratios():
 def test_split_exposure_chronological():
     log = _toy_log(n_users=3, clicks_per_user=4)
     first, second = split_exposure(log, 0.7)
+    assert first.catalog is log.catalog and second.catalog is log.catalog
+    assert not first.click.any() and not second.click.any()
     # ceil(0.7 * 4) = 3 exposures per user in the first part
     per_user_first = {}
-    for e in first:
-        per_user_first.setdefault(e.user, []).append(e.timestamp)
+    for user, _, stamp, _ in _rows(first):
+        per_user_first.setdefault(user, []).append(stamp)
     for u, stamps in per_user_first.items():
         assert len(stamps) == 3
         assert stamps == sorted(stamps)
-    assert not set(first) & set(second)
-    assert len(first) + len(second) == len(log.exposure_events())
-    for e in second:
-        assert e.timestamp >= max(per_user_first[e.user])
+    assert not set(_rows(first)) & set(_rows(second))
+    assert len(first.user) + len(second.user) == np.count_nonzero(~log.click)
+    for user, _, stamp, _ in _rows(second):
+        assert stamp >= max(per_user_first[user])
 
 
 def test_truncate_pad_left():
@@ -140,32 +155,36 @@ def test_truncate_pad_property(seq, max_len):
 
 @st.composite
 def _event_logs(draw):
-    """Valid logs: every user has events, every click its exposure at the
-    same timestamp, each user's events in the order the parser sorts them."""
+    """Valid logs built from columns: every user has events, every click
+    its exposure at the same timestamp, rows in any order."""
     users = [f"u{i}" for i in range(draw(st.integers(1, 4)))]
     items = [f"i{j}" for j in range(6)]
-    events_by_user = {}
+    catalog = Catalog(draw(st.permutations(users)), draw(st.permutations(items)))
+    rows = []
     for user in users:
-        events = []
         for item, ts, clicked in draw(st.lists(
                 st.tuples(st.sampled_from(items), st.integers(0, 20), st.booleans()),
                 min_size=1, max_size=8)):
-            events.append(Event(user, item, ts, EXPOSURE))
+            rows.append((user, item, ts, False))
             if clicked:
-                events.append(Event(user, item, ts, CLICK))
-        events.sort(key=lambda e: (e.timestamp, e.kind == CLICK))
-        events_by_user[user] = events
-    return EventLog(events_by_user, Catalog(draw(st.permutations(users)),
-                                            draw(st.permutations(items))))
+                rows.append((user, item, ts, True))
+    rows = draw(st.permutations(rows))
+    return EventLog(user=[catalog.user_index(r[0]) for r in rows],
+                    item=[catalog.item_ids.index(r[1]) + 1 for r in rows],
+                    time=[r[2] for r in rows], click=[r[3] for r in rows],
+                    catalog=catalog)
 
 
 @settings(max_examples=60)
 @given(log=_event_logs())
 def test_parse_serialize_roundtrip_property(log):
     parsed = parse_event_log(io.StringIO(serialize_event_log(log)))
-    assert parsed.events_by_user == log.events_by_user
+    assert _rows(parsed) == _rows(log)
     assert parsed.catalog.user_ids == log.catalog.user_ids
-    assert parsed.catalog == appearance_ordered(log).catalog
+    reindexed = appearance_ordered(log)
+    assert parsed.catalog == reindexed.catalog
+    for column in ("user", "item", "time", "click"):
+        assert np.array_equal(getattr(parsed, column), getattr(reindexed, column))
 
 
 def test_index_sequences():
@@ -173,3 +192,111 @@ def test_index_sequences():
     seqs = index_sequences(log, ["u0", "u1"])
     assert seqs[0] == [1, 2]
     assert seqs[1] == [2, 3]
+
+
+@dataclass(frozen=True)
+class _Event:
+    user: str
+    item: str
+    timestamp: int
+    kind: str
+
+
+def _reference_parse(stream):
+    """The parser over per-user lists of event objects: each user's events
+    sorted by (timestamp, exposure first), then scanned with the earliest
+    exposure time seen so far of each item.  Returns the events as
+    (user, item, timestamp, kind) in catalog-user order, and the catalog's
+    user and item ids in order of first appearance."""
+    events_by_user: dict[str, list[_Event]] = {}
+    user_order: list[str] = []
+    item_order: list[str] = []
+    seen_items: set[str] = set()
+
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(f"line {lineno}: expected 4 tab-separated columns, got {len(parts)}")
+        user, item, ts_str, kind = parts
+        try:
+            ts = int(ts_str)
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer timestamp {ts_str!r}") from None
+        if ts < 0:
+            raise ParseError(f"line {lineno}: negative timestamp {ts}")
+        if kind not in (EXPOSURE, CLICK):
+            raise ParseError(f"line {lineno}: unknown kind {kind!r}")
+        if user not in events_by_user:
+            events_by_user[user] = []
+            user_order.append(user)
+        if item not in seen_items:
+            seen_items.add(item)
+            item_order.append(item)
+        events_by_user[user].append(_Event(user, item, ts, kind))
+
+    for user, events in events_by_user.items():
+        events.sort(key=lambda e: (e.timestamp, 0 if e.kind == EXPOSURE else 1))
+        exposed_at: dict[str, int] = {}
+        for e in events:
+            if e.kind == EXPOSURE:
+                prev = exposed_at.get(e.item)
+                if prev is None or e.timestamp < prev:
+                    exposed_at[e.item] = e.timestamp
+            else:
+                if e.item not in exposed_at or exposed_at[e.item] > e.timestamp:
+                    raise IntegrityError(
+                        f"click on {e.item!r} by {user!r} at t={e.timestamp} "
+                        "without a prior exposure"
+                    )
+
+    rows = [(e.user, e.item, e.timestamp, e.kind)
+            for user in user_order for e in events_by_user[user]]
+    return rows, user_order, item_order
+
+
+_MALFORMED = ("u0\ti0\t1", "u0\ti0\tsoon\texposure", "u1\ti2\t-2\tclick",
+              "u2\ti1\t3\tview", "# comment", "")
+
+
+@st.composite
+def _tsv_logs(draw):
+    """TSV text over three users, items and a few timestamps: clicks with
+    no exposure, before their exposure and at its timestamp, exposures
+    with no click, duplicate lines, and now and then a malformed line."""
+    lines = []
+    for user, item, ts, clicked, lag in draw(st.lists(st.tuples(
+            st.sampled_from(["u0", "u1", "u2"]), st.sampled_from(["i0", "i1", "i2"]),
+            st.integers(0, 5), st.booleans(),
+            # None: no exposure for the click; -1: the exposure comes after it
+            st.sampled_from([None, -1, 0, 0, 1, 3])), max_size=16)):
+        if clicked:
+            lines.append(f"{user}\t{item}\t{ts}\t{CLICK}")
+        if lag is not None or not clicked:
+            lines.append(f"{user}\t{item}\t{max(0, ts - (lag or 0))}\t{EXPOSURE}")
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=4))
+    lines = draw(st.permutations(lines))
+    if draw(st.integers(0, 7)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_MALFORMED)))
+    return "".join(line + "\n" for line in lines)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(io.StringIO(text))
+    except (ParseError, IntegrityError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(text=_tsv_logs())
+def test_parser_matches_reference_property(text):
+    got = _outcome(parse_event_log, text)
+    want = _outcome(_reference_parse, text)
+    if isinstance(got, EventLog):
+        assert (_rows(got), got.catalog.user_ids, got.catalog.item_ids) == want
+    else:
+        assert got == want

@@ -1,42 +1,40 @@
 """Mixture exposure simulator invariants on a tiny trained instance."""
 
+import io
+
 import numpy as np
 import pytest
 
-from drorec.data import (CLICK, EXPOSURE, Catalog, CatalogMismatchError, Event,
-                         EventLog, sequences_to_matrix, split_exposure,
+from drorec.data import (Catalog, CatalogMismatchError, EventLog,
+                         parse_event_log, sequences_to_matrix, split_exposure,
                          truncate_pad)
 from drorec.exposure import (ExposureSimulator, LeakageError, PopularityTable,
                              build_simulator, check_no_leakage,
-                             exposure_sequences, popularity_from,
-                             train_exposure_component)
+                             popularity_from, train_exposure_component)
 from drorec.model import SeqModel
 
 
 def _toy_events(n_users=12, n_items=8, length=10, seed=0):
     rng = np.random.default_rng(seed)
-    users = [f"u{i}" for i in range(n_users)]
-    items = [f"i{j}" for j in range(n_items)]
-    catalog = Catalog(users, items)
-    events_by_user = {}
-    for u in users:
-        evs = []
+    catalog = Catalog([f"u{i}" for i in range(n_users)], [f"i{j}" for j in range(n_items)])
+    rows = []
+    for u in range(n_users):
         for t in range(length):
             # skewed exposure: low item ids are shown more often
-            v = items[min(int(rng.exponential(2.0)), n_items - 1)]
-            evs.append(Event(u, v, t, EXPOSURE))
+            v = min(int(rng.exponential(2.0)), n_items - 1) + 1
+            rows.append((u, v, t, False))
             if rng.random() < 0.4:
-                evs.append(Event(u, v, t, CLICK))
-        events_by_user[u] = evs
-    return EventLog(events_by_user, catalog)
+                rows.append((u, v, t, True))
+    user, item, time, click = zip(*rows)
+    return EventLog(user, item, time, click, catalog)
 
 
 @pytest.fixture(scope="module")
 def sim_setup():
     log = _toy_events()
-    events = log.exposure_events()
-    sim = build_simulator(events, log.catalog, forbidden=[], dim=8, max_len=12,
-                          beta=0.3, epochs=2, lr=0.01, batch_size=8, seed=0)
+    sim = build_simulator(log.rows(~log.click), forbidden=log.rows(slice(0, 0)),
+                          dim=8, max_len=12, beta=0.3, epochs=2, lr=0.01,
+                          batch_size=8, seed=0)
     return log, sim
 
 
@@ -50,8 +48,8 @@ def _random_prefixes(log, n, seed):
 
 def test_popularity_table(sim_setup):
     log, _ = sim_setup
-    pop = popularity_from(log.exposure_events(), log.catalog)
-    assert pop.counts.sum() == len(log.exposure_events())
+    pop = popularity_from(log)
+    assert pop.counts.sum() == np.count_nonzero(~log.click)
     assert pop.scores.max() == pytest.approx(1.0)
     assert np.all(pop.scores >= 0.0)
     empty = PopularityTable.from_counts(np.zeros(3, dtype=np.int64))
@@ -83,14 +81,31 @@ def test_simulator_components_frozen(sim_setup):
 
 def test_leakage_guard():
     log = _toy_events()
-    events = log.exposure_events()
+    exposures = log.rows(~log.click)
     with pytest.raises(LeakageError):
-        check_no_leakage(events, events[:3])
-    check_no_leakage(events[:5], events[5:])  # disjoint: no error
+        check_no_leakage(exposures, exposures.rows(slice(0, 3)))
+    check_no_leakage(exposures.rows(slice(0, 5)), exposures.rows(slice(5, None)))
     with pytest.raises(LeakageError):
-        build_simulator(events, log.catalog, forbidden=events[:1], dim=4,
+        build_simulator(exposures, forbidden=exposures.rows(slice(0, 1)), dim=4,
                         max_len=8, beta=0.3, epochs=1, lr=0.01, batch_size=8,
                         seed=0)
+
+
+def test_duplicate_line_across_the_exposure_cut_leaks():
+    # seven exposures of u0, cut after ceil(0.7 * 7) = 5: the two equal
+    # lines at t=4 fall on either side, so one event sits in both parts
+    shown = (("i0", 0), ("i1", 1), ("i2", 2), ("i3", 3), ("i4", 4), ("i4", 4), ("i5", 5))
+    text = "".join(f"u0\t{item}\t{t}\texposure\n" for item, t in shown)
+    fit = dict(dim=4, max_len=8, beta=0.3, epochs=1, lr=0.01, batch_size=8, seed=0)
+    first, second = split_exposure(parse_event_log(io.StringIO(text)), 0.7)
+    with pytest.raises(LeakageError, match="^1 training events"):
+        build_simulator(first, forbidden=second, **fit)
+    with pytest.raises(LeakageError):
+        build_simulator(second, forbidden=first, **fit)
+    disjoint = text.replace("i4\t4", "i6\t4", 1)
+    first, second = split_exposure(parse_event_log(io.StringIO(disjoint)), 0.7)
+    assert build_simulator(first, forbidden=second, **fit).popularity.counts.sum() == 5
+    assert build_simulator(second, forbidden=first, **fit).popularity.counts.sum() == 2
 
 
 def test_simulator_save_load_bit_exact(tmp_path, sim_setup):
@@ -129,19 +144,17 @@ def test_component_beats_uniform_on_heldout():
     # a uniform-random scorer on held-out exposure data
     log = _toy_events(n_users=30, length=16, seed=4)
     first, second = split_exposure(log, 0.7)
-    mat = sequences_to_matrix(exposure_sequences(first, log.catalog), 12)
+    mat = sequences_to_matrix([s for s in first.item_sequences(clicks=False) if s], 12)
     comp = train_exposure_component(mat, log.catalog, "recurrent", dim=8,
                                     epochs=8, lr=0.01, batch_size=8, seed=0)
-    per_user = {}
-    for e in second:
-        per_user.setdefault(e.user, []).append(e)
     hits = trials = 0
     rng = np.random.default_rng(0)
     rand_hits = 0
-    for u, evs in per_user.items():
-        history = [log.catalog.item_index(e.item)
-                   for e in first if e.user == u]
-        target = log.catalog.item_index(sorted(evs, key=lambda e: e.timestamp)[0].item)
+    for history, held_out in zip(first.item_sequences(clicks=False),
+                                 second.item_sequences(clicks=False)):
+        if not held_out:
+            continue
+        target = held_out[0]
         state = comp.encode(truncate_pad(history, 12))
         logits = comp.all_logits(state, "main")
         top3 = np.argsort(-logits)[:3] + 1

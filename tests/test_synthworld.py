@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from drorec.data import (CLICK, EXPOSURE, Catalog, Event, EventLog,
-                         parse_event_log, serialize_event_log, truncate_pad)
+from drorec.data import (CLICK, EXPOSURE, parse_event_log, serialize_event_log,
+                         truncate_pad)
 from drorec.synthworld import (EXPLORE_EPS, NOISE, POLICY_MAX_LEN, POP_BONUS,
                                GroundTruthWorld, LoggingPolicy,
                                _fit_policy_model, exposure_gini,
@@ -58,11 +58,12 @@ def test_feedback_loop_produces_valid_log(small_world, kind):
     # the log must survive its own integrity checks
     reparsed = parse_event_log(iter(serialize_event_log(log).splitlines(True)))
     assert reparsed.catalog.n_users == 30
-    n_expo = len(log.exposure_events())
+    n_expo = np.count_nonzero(~log.click)
     assert n_expo == 30 * 4 * 3
     # clicks are a subset of exposures per user
-    for u in log.catalog.user_ids:
-        assert set(log.interaction_seq(u)) <= set(log.exposure_seq(u))
+    for clicked, shown in zip(log.item_sequences(clicks=True),
+                              log.item_sequences(clicks=False)):
+        assert set(clicked) <= set(shown)
 
 
 def test_feedback_loop_deterministic(small_world):
@@ -75,7 +76,8 @@ def test_feedback_loop_deterministic(small_world):
 def _reference_feedback_loop(world, policy, seed):
     """The feedback loop written plainly: set difference for the explore
     pool, one scalar draw per slot and click probabilities recomputed at
-    every user-round.  ``run_feedback_loop`` must reproduce its log."""
+    every user-round, writing the TSV lines of the log itself.
+    ``serialize_event_log`` of ``run_feedback_loop`` must be its text."""
     rng = np.random.default_rng(seed)
     n_users, n_items = world.n_users, world.n_items
     m = policy.slate_size
@@ -84,7 +86,7 @@ def _reference_feedback_loop(world, policy, seed):
     click_counts = np.zeros(n_items)
     expo_counts = np.zeros(n_items)
     click_seqs = [[] for _ in range(n_users)]
-    events_by_user = {u: [] for u in user_ids}
+    lines_by_user = {u: [] for u in user_ids}
     scorer = None
     for rnd in range(policy.rounds):
         if (policy.kind == "model" and rnd > 0
@@ -123,15 +125,15 @@ def _reference_feedback_loop(world, policy, seed):
             uid = user_ids[u]
             for slot, v in enumerate(slate):
                 t = rnd * m + slot
-                events_by_user[uid].append(Event(uid, item_ids[v], t, EXPOSURE))
+                lines_by_user[uid].append(f"{uid}\t{item_ids[v]}\t{t}\t{EXPOSURE}\n")
                 expo_counts[v] += 1.0
                 if rng.random() < pi[v]:
-                    events_by_user[uid].append(Event(uid, item_ids[v], t, CLICK))
+                    lines_by_user[uid].append(f"{uid}\t{item_ids[v]}\t{t}\t{CLICK}\n")
                     click_seqs[u].append(v + 1)
                     click_counts[v] += 1.0
                     last = v
                     pi = world.click_probs(u, last)
-    return EventLog(events_by_user, Catalog(user_ids, item_ids))
+    return "".join(line for u in user_ids for line in lines_by_user[u])
 
 
 @pytest.mark.parametrize("seed", [0, 11])
@@ -141,7 +143,7 @@ def test_feedback_loop_matches_reference(small_world, kind, slate_size, seed):
     # slate size 1 has no explore slot; 4 and 10 have one and three
     policy = LoggingPolicy(kind=kind, slate_size=slate_size, rounds=4)
     got = serialize_event_log(run_feedback_loop(small_world, policy, seed=seed))
-    want = serialize_event_log(_reference_feedback_loop(small_world, policy, seed))
+    want = _reference_feedback_loop(small_world, policy, seed)
     assert got == want
 
 

@@ -8,9 +8,9 @@ from .config import ExperimentConfig, load_config, save_config
 from .data import (Catalog, DatasetSplit, EventLog, parse_event_log,
                    serialize_event_log, split_by_user, split_exposure,
                    truncate_pad)
-from .dro import dro_loss, joint_loss, surrogate_risk, train_model
+from .dro import dro_term, train_model
 from .evaluation import (MetricsReport, coverage, debiasedness_check,
-                         ideal_reward, metric_c, rank_items, snips_evaluate)
+                         metric_values, snips_evaluate)
 from .exposure import (ExposureSimulator, PopularityTable, build_simulator,
                        popularity_from, train_exposure_component)
 from .model import SeqModel

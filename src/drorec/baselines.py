@@ -10,45 +10,40 @@ from __future__ import annotations
 import numpy as np
 
 from .exposure import ExposureSimulator
+from .nn import log_sigmoid, sigmoid
 
 METHODS = ("none", "ips", "ips_c", "relmf", "dro")
 CLIP_PREFIXES = 100    # training prefixes sampled for the IPS-C clip
 
 
-def ips_weight(rho: float) -> float:
-    """Inverse-propensity weight for the positive BCE term."""
-    if rho <= 0:
-        raise ValueError(f"propensity must be positive, got {rho}")
-    return 1.0 / rho
+def positive_term(method: str, r: np.ndarray, rho: np.ndarray | None = None,
+                  clip: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each step's positive BCE term under ``method`` and its derivative in r.
 
-
-def ips_clipped_weight(rho: float, clip: float) -> float:
-    """IPS weight max-clipped at 1/clip to bound the variance."""
-    if rho <= 0:
-        raise ValueError(f"propensity must be positive, got {rho}")
-    if clip <= 0:
-        raise ValueError(f"clip threshold must be positive, got {clip}")
-    return min(1.0 / rho, 1.0 / clip)
-
-
-def relmf_loss(sigma_r: float, rho: float, is_clicked: bool) -> float:
-    """Propensity-corrected pointwise BCE term.
-
-    Clicked: -[(1/rho) log s + (1 - 1/rho) log(1 - s)]; unclicked items
-    keep the plain negative term.  With rho = 1 both reduce to vanilla.
+    r holds the positive items' logits and rho their propensities.  With
+    s = sigmoid(r) the terms are -log s (none, dro), -(1/rho) log s (ips),
+    the same with the weight capped at 1/clip (ips_c), and
+    -[(1/rho) log s + (1 - 1/rho) log(1 - s)] (relmf); at rho = 1 every
+    derivative is s - 1 bit for bit.
     """
-    if rho <= 0 or rho > 1:
-        raise ValueError(f"propensity must be in (0, 1], got {rho}")
-    s = float(sigma_r)
-    if is_clicked:
-        inv = 1.0 / rho
-        return -(inv * np.log(s) + (1.0 - inv) * np.log(1.0 - s))
-    return -float(np.log(1.0 - s))
-
-
-def relmf_positive_grad(sigma_r: np.ndarray, inv_rho: np.ndarray) -> np.ndarray:
-    """d/dr of the clicked RelMF term; reduces to sigma - 1 at rho = 1."""
-    return -inv_rho * (1.0 - sigma_r) + (1.0 - inv_rho) * sigma_r
+    s = sigmoid(r)
+    log_s = log_sigmoid(r)
+    if method in ("none", "dro"):
+        return -log_s, s - 1.0
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if np.any((rho <= 0.0) | (rho > 1.0)):
+        raise ValueError("propensities must be in (0, 1]")
+    inv = 1.0 / rho
+    if method == "ips":
+        return -inv * log_s, inv * (s - 1.0)
+    if method == "ips_c":
+        if clip <= 0:
+            raise ValueError(f"clip threshold must be positive, got {clip}")
+        w = np.minimum(inv, 1.0 / clip)
+        return -w * log_s, w * (s - 1.0)
+    return (-(inv * log_s + (1.0 - inv) * log_sigmoid(-r)),
+            -inv * (1.0 - s) + (1.0 - inv) * s)
 
 
 def median_exposure_clip(sim: ExposureSimulator, seqs: np.ndarray,

@@ -132,10 +132,20 @@ class EventLog:
     def shared_events(self, other: "EventLog") -> int:
         """How many distinct events, equal in all four columns, both logs
         hold; the two must index one catalog."""
-        def keys(log):      # each row's four columns as one 32-byte value
-            rows = np.stack([log.user, log.item, log.time, log.click.astype(np.int64)], axis=1)
-            return rows.view(np.dtype((np.void, rows.itemsize * 4))).ravel()
-        return len(np.intersect1d(keys(self), keys(other)))
+        n = len(self.user) + len(other.user)
+        side = np.arange(n) >= len(self.user)          # True on the rows of other
+        cols = [np.concatenate((getattr(self, c), getattr(other, c)))
+                for c in ("click", "time", "item", "user")]
+        order = np.lexsort([side] + cols)
+        cols, side = [c[order] for c in cols], side[order]
+        # equal rows are now adjacent, this log's first: a distinct row both
+        # logs hold starts on one of this log's and ends on one of other's
+        bound = np.zeros(n + 1, dtype=bool)          # a distinct row starts at i, or i = n
+        bound[[0, -1]] = True
+        for c in cols:
+            bound[1:-1] |= c[1:] != c[:-1]
+        starts = np.flatnonzero(bound)
+        return int(np.sum(~side[starts[:-1]] & side[starts[1:] - 1]))
 
 
 @dataclass

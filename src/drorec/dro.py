@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .baselines import METHODS, relmf_positive_grad
+from .baselines import METHODS, positive_term
 from .model import SeqModel
 from .nn import log_sigmoid, scatter_add_rows, sigmoid
 
@@ -25,37 +25,20 @@ class NonFiniteLossError(RuntimeError):
     """Training diverged; carries the epoch/step diagnostics in the message."""
 
 
-def surrogate_risk(y: float, is_positive: bool) -> float:
-    """Preference-overestimation risk: 1 - y for positives, y for negatives."""
-    if not (0.0 <= y <= 1.0):
-        raise ValueError(f"prediction score must be in [0, 1], got {y}")
-    return 1.0 - y if is_positive else y
+def dro_term(q0: np.ndarray, risks: np.ndarray):
+    """log E_{q0}[e^risk] over the last axis, log-sum-exp stabilized.
 
-
-def risk_vector(y: np.ndarray, positive_index: int) -> np.ndarray:
-    """Per-item risks over the catalog for one step; index is 0-based."""
-    if np.any((y < 0.0) | (y > 1.0)):
-        raise ValueError("prediction scores must be in [0, 1]")
-    risks = y.copy()
-    risks[positive_index] = 1.0 - y[positive_index]
-    return risks
-
-
-def dro_loss(q0: np.ndarray, risks: np.ndarray) -> float:
-    """log E_{q0}[e^risk] with log-sum-exp stabilization."""
-    q0 = np.asarray(q0, dtype=np.float64)
-    risks = np.asarray(risks, dtype=np.float64)
+    Returns the terms and what their backward pass needs: q0 e^(risk - top)
+    and its sums over the last axis, kept as an axis of length 1.
+    """
     if q0.shape != risks.shape:
         raise ValueError(f"index sets differ: {q0.shape} vs {risks.shape}")
-    top = risks.max()
-    return float(top + np.log(np.sum(q0 * np.exp(risks - top))))
-
-
-def joint_loss(rec_loss: float, dro_terms, a: float) -> float:
-    """L_joint = L_rec + a * sum of per-step robust terms."""
-    if a < 0:
-        raise ValueError(f"dro weight must be >= 0, got {a}")
-    return float(rec_loss + a * np.sum(dro_terms))
+    top = risks.max(axis=-1, keepdims=True)
+    weighted = risks - top
+    np.exp(weighted, out=weighted)
+    weighted *= q0
+    z = weighted.sum(axis=-1, keepdims=True)
+    return (top + np.log(z))[..., 0], weighted, z
 
 
 def _valid_steps(seqs: np.ndarray) -> np.ndarray:
@@ -74,7 +57,9 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
     seqs is (B, T); position p's state predicts the item at p + 1, with
     negs (B, T-1) the sampled negatives for those targets.  Losses are
     normalized by the number of valid steps in the batch; the per-step
-    inputs q0_steps and prop_steps are aligned with negs.
+    inputs q0_steps and prop_steps are aligned with negs.  loss_rec is the
+    BCE with the method's positive term (`baselines.positive_term`), so it
+    is the loss the method's gradients descend.
     """
     p = model.params if params is None else params
     # Rows are left-padded: drop the leading columns that are pad in every
@@ -97,10 +82,12 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
     pos = seqs[:, 1:][valid]                        # (Np,) item indices
     neg = negs[valid]
 
-    g = states @ p["W_main"] + p["b_main"]
+    g = model.head_out(states, "main", p)
     r_pos = np.sum(g * p["emb"][pos], axis=1)
     r_neg = np.sum(g * p["emb"][neg], axis=1)
-    loss_rec = float(-np.sum(log_sigmoid(r_pos) + log_sigmoid(-r_neg)) / n_steps)
+    pos_loss, dr_pos = positive_term(method, r_pos, None if prop_steps is None
+                                     else prop_steps[valid], clip)
+    loss_rec = float(np.sum(pos_loss - log_sigmoid(-r_neg)) / n_steps)
 
     loss_dro = 0.0
     dro_cache = None
@@ -108,17 +95,14 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
         if q0_steps is None:
             raise ValueError("dro training requires q0 per step")
         q0 = q0_steps[valid]                        # (Np, n_items)
-        gd = states @ p["W_dro"] + p["b_dro"]
+        gd = model.head_out(states, "dro", p)
         y = sigmoid(gd @ p["emb"][1:].T)            # (Np, n_items)
         rows = np.arange(len(pos))
-        weighted = y.copy()                         # the risks, then q0 e^(risk - top)
-        weighted[rows, pos - 1] = 1.0 - y[rows, pos - 1]
-        top = weighted.max(axis=1, keepdims=True)
-        weighted -= top
-        np.exp(weighted, out=weighted)
-        weighted *= q0
-        z = weighted.sum(axis=1, keepdims=True)
-        loss_dro = float(np.sum(top + np.log(z)) / n_steps)
+        y_pos = y[rows, pos - 1]
+        y[rows, pos - 1] = 1.0 - y_pos              # the risks: 1 - y at the target, y elsewhere
+        terms, weighted, z = dro_term(q0, y)
+        y[rows, pos - 1] = y_pos
+        loss_dro = float(np.sum(terms) / n_steps)
         dro_cache = (q0, gd, y, weighted, z, rows)
 
     loss_joint = loss_rec + a * loss_dro
@@ -127,21 +111,8 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
     if not want_grads:
         return out
 
-    s_pos = sigmoid(r_pos)
-    s_neg = sigmoid(r_neg)
-    if method in ("none", "dro"):
-        dr_pos = s_pos - 1.0
-    elif method == "ips":
-        dr_pos = (1.0 / prop_steps[valid]) * (s_pos - 1.0)
-    elif method == "ips_c":
-        w = np.minimum(1.0 / prop_steps[valid], 1.0 / clip)
-        dr_pos = w * (s_pos - 1.0)
-    elif method == "relmf":
-        dr_pos = relmf_positive_grad(s_pos, 1.0 / prop_steps[valid])
-    else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     dr_pos = dr_pos / n_steps
-    dr_neg = s_neg / n_steps
+    dr_neg = sigmoid(r_neg) / n_steps
 
     dg = dr_pos[:, None] * p["emb"][pos] + dr_neg[:, None] * p["emb"][neg]
     demb = scatter_add_rows(np.concatenate([pos, neg]),

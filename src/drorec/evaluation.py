@@ -21,17 +21,6 @@ PROPENSITY_FLOOR = 1e-6
 METRIC_KINDS = ("recall", "ndcg")
 
 
-def rank_items(model, prefix) -> np.ndarray:
-    """Catalog item indices sorted by descending main-head logit.
-
-    Ties break by ascending item index so rankings are reproducible.
-    """
-    state = model.encode(prefix if hasattr(prefix, "__len__") else list(prefix))
-    logits = model.all_logits(state, "main")
-    order = np.lexsort((np.arange(1, model.n_items + 1), -logits))
-    return order + 1
-
-
 def target_ranks(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """1-based rank of each row's target item index among its item logits.
 
@@ -45,18 +34,8 @@ def target_ranks(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return better + tied_before + 1
 
 
-def metric_c(rank: int, k: int, kind: str) -> float:
-    """Single-target Recall@K or NDCG@K from a 1-based rank."""
-    if kind not in METRIC_KINDS:
-        raise ValueError(f"unknown metric kind {kind!r}")
-    if rank > k:
-        return 0.0
-    if kind == "recall":
-        return 1.0
-    return 1.0 / np.log2(rank + 1.0)
-
-
 def metric_values(ranks: np.ndarray, k: int, kind: str) -> np.ndarray:
+    """Single-target Recall@K or NDCG@K of each 1-based rank."""
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
     hits = ranks <= k
@@ -71,25 +50,6 @@ def coverage(rankings: list[np.ndarray], k: int, n_items: int) -> float:
     for ranking in rankings:
         seen.update(int(v) for v in ranking[:k])
     return len(seen) / n_items
-
-
-def ideal_reward(rankings: list[np.ndarray], relevance: np.ndarray,
-                 k: int, kind: str) -> float:
-    """Full-information reward: mean over (user, item) of rel * c(rank).
-
-    Needs complete relevance, so this is only computable on the
-    synthetic world (or in enumeration checks).
-    """
-    if relevance is None:
-        raise ValueError("ideal reward needs full relevance")
-    n_users = len(rankings)
-    n_items = relevance.shape[1]
-    total = 0.0
-    for u, ranking in enumerate(rankings):
-        ranks = np.empty(n_items)
-        ranks[ranking - 1] = np.arange(1, n_items + 1)
-        total += float(np.sum(relevance[u] * metric_values(ranks, k, kind)))
-    return total / (n_users * n_items)
 
 
 def floor_propensities(rho: np.ndarray) -> tuple[np.ndarray, int]:

@@ -19,10 +19,6 @@ HEADS = ("main", "dro")
 FORMAT_VERSION = 1
 
 
-class EmptySequenceError(ValueError):
-    """All-pad input sequence."""
-
-
 class FrozenModelError(RuntimeError):
     """Attempted to mutate a frozen model."""
 
@@ -95,14 +91,6 @@ class SeqModel:
         grads["emb"] = demb
         return grads
 
-    def encode(self, seq, params: dict | None = None) -> np.ndarray:
-        """State of the last (most recent) position of one padded sequence."""
-        arr = np.asarray(seq, dtype=np.int64).reshape(1, -1)
-        if not np.any(arr > 0):
-            raise EmptySequenceError("cannot encode an all-pad sequence")
-        H, _ = self.forward_states(arr, params)
-        return H[0, -1]
-
     # ------------------------------------------------------------------
     # heads and scoring
 
@@ -112,15 +100,6 @@ class SeqModel:
             raise ValueError(f"unknown head {which!r}")
         p = self.params if params is None else params
         return states @ p[f"W_{which}"] + p[f"b_{which}"]
-
-    def score(self, state: np.ndarray, item_index: int, which: str = "main",
-              params: dict | None = None) -> float:
-        """Dot-product logit of one item against the head-transformed state."""
-        if item_index <= 0 or item_index > self.n_items:
-            raise ValueError(f"item index {item_index} outside catalog 1..{self.n_items}")
-        p = self.params if params is None else params
-        g = self.head_out(state, which, p)
-        return float(p["emb"][item_index] @ g)
 
     def all_logits(self, states: np.ndarray, which: str = "main",
                    params: dict | None = None) -> np.ndarray:

@@ -77,12 +77,13 @@ def prepare(config: ExperimentConfig, log: EventLog) -> PreparedData:
                                 config.test_ratio), seed=config.seed)
     expo_part, eval_part = split_exposure(log, config.expo_fraction)
 
-    train_clicks = index_sequences(log, split.train_users)
-    train_clicks = [s for s in train_clicks if len(s) >= 2]
+    n_train = len(split.train_users)
+    clicks = index_sequences(log, split.train_users + split.test_users)
+    train_clicks = [s for s in clicks[:n_train] if len(s) >= 2]
     train_seqs = sequences_to_matrix(train_clicks, config.max_click_len)
 
     prefixes, targets = [], []
-    for seq in index_sequences(log, split.test_users):
+    for seq in clicks[n_train:]:
         if len(seq) >= 2:
             prefixes.append(seq[:-1])
             targets.append(seq[-1])

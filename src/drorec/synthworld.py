@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Catalog, EventLog, truncate_pad
+from .data import Catalog, EventLog, sequences_to_matrix, truncate_pad
+from .dro import train_model
 from .evaluation import metric_values
 from .model import SeqModel
 from .nn import ADAM_BETA2, sigmoid
@@ -195,9 +196,6 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
 
 
 def _fit_policy_model(world, click_seqs, seed: int) -> SeqModel:
-    from .data import sequences_to_matrix
-    from .dro import train_model
-
     trainable = [s for s in click_seqs if len(s) > 1]
     max_len = min(POLICY_MAX_LEN, max(len(s) for s in trainable))
     mat = sequences_to_matrix(trainable, max_len)
@@ -227,31 +225,29 @@ def oracle_evaluate(model, world: GroundTruthWorld, prefixes: list[list[int]],
     zero-variance version of sampling true next clicks.  Deterministic
     given (model, world, prefixes).
     """
-    from .data import sequences_to_matrix
-
     mat = sequences_to_matrix(prefixes, model.max_len)
     H, _ = model.forward_states(mat)
     logits = model.all_logits(H[:, -1, :], "main")
     order = np.argsort(-logits, axis=1, kind="stable")     # 0-based item ids
-    total = 0.0
-    for row, (u, prefix) in enumerate(zip(user_indices, prefixes)):
-        last = prefix[-1] - 1 if prefix else None
-        pi = world.next_click_distribution(u, last)
-        ranks = np.empty(world.n_items)
-        ranks[order[row]] = np.arange(1, world.n_items + 1)
-        total += float(np.sum(pi * metric_values(ranks, k, kind)))
-    return total / len(prefixes)
+    return _expected_metric(world, prefixes, user_indices, k, kind,
+                            lambda row, pi: order[row])
 
 
 def true_preference_ranking_value(world: GroundTruthWorld, prefixes, user_indices,
                                   k: int, kind: str) -> float:
     """Oracle value of the ranker that sorts items by true preference."""
+    return _expected_metric(world, prefixes, user_indices, k, kind,
+                            lambda row, pi: np.argsort(-pi, kind="stable"))
+
+
+def _expected_metric(world, prefixes, user_indices, k, kind, order_of) -> float:
+    """Mean over users of E_pi[c(rank)], ranking by ``order_of(row, pi)``,
+    the 0-based item ids of the row's ranking given its true distribution."""
     total = 0.0
-    for u, prefix in zip(user_indices, prefixes):
+    for row, (u, prefix) in enumerate(zip(user_indices, prefixes)):
         last = prefix[-1] - 1 if prefix else None
         pi = world.next_click_distribution(u, last)
-        order = np.argsort(-pi, kind="stable")
         ranks = np.empty(world.n_items)
-        ranks[order] = np.arange(1, world.n_items + 1)
+        ranks[order_of(row, pi)] = np.arange(1, world.n_items + 1)
         total += float(np.sum(pi * metric_values(ranks, k, kind)))
     return total / len(prefixes)

@@ -27,7 +27,7 @@ import pytest
 from drorec import pipeline
 from drorec.config import ExperimentConfig
 from drorec.data import sequences_to_matrix
-from drorec.dro import batch_objective, dro_loss, train_model
+from drorec.dro import batch_objective, dro_term, train_model
 from drorec.evaluation import coverage, debiasedness_check, snips_evaluate
 from drorec.exposure import build_simulator
 from drorec.model import SeqModel
@@ -187,11 +187,11 @@ def test_criterion_2_dro_dual_properties():
         n = int(rng.integers(2, 21))
         q0 = rng.dirichlet(np.ones(n))
         risks = rng.uniform(0.0, 1.0, size=n)
-        val = dro_loss(q0, risks)
+        val = dro_term(q0, risks)[0]
         bound_err = max(bound_err, risks.min() - val, val - risks.max())
         mean_gap_min = min(mean_gap_min, val - float(q0 @ risks))
         const = float(rng.uniform())
-        cval = dro_loss(q0, np.full(n, const))
+        cval = dro_term(q0, np.full(n, const))[0]
         eq_err = max(eq_err, abs(cval - const))
     ok_bounds = bound_err <= 1e-10 and mean_gap_min >= -1e-10 and eq_err <= 1e-10
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from drorec import cli, pipeline
+from drorec.baselines import METHODS
 from drorec.cli import main
 from drorec.config import ExperimentConfig, load_config, save_config
 from drorec.model import SeqModel
@@ -134,6 +135,23 @@ def test_evaluation_deterministic(tiny_config):
     first = (out / "metrics.json").read_text()
     assert main(["evaluate", "--config", str(path)]) == 0
     assert (out / "metrics.json").read_text() == first
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_runs_through_the_cli(tiny_config, tmp_path, capsys, method):
+    cfg, _ = tiny_config
+    run = tmp_path / "run"
+    config = tmp_path / "config.txt"
+    save_config(dataclasses.replace(cfg, out_dir=str(run), method=method), config)
+    for stage in ("simulate", "train-exposure", "train", "evaluate"):
+        assert main([stage, "--config", str(config)]) == 0
+    records = [json.loads(line) for line in (run / "train_log.jsonl").read_text().splitlines()]
+    assert len(records) == cfg.epochs
+    assert all(np.isfinite(r[k]) for r in records
+               for k in ("loss_rec", "loss_dro", "loss_joint"))
+    capsys.readouterr()
+    assert main(["report", str(run), "--table", str(tmp_path / "report.csv")]) == 0
+    assert "ndcg@5/snips" in (tmp_path / "report.csv").read_text()
 
 
 @pytest.fixture(scope="module")

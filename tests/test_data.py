@@ -187,6 +187,28 @@ def test_parse_serialize_roundtrip_property(log):
         assert np.array_equal(getattr(parsed, column), getattr(reindexed, column))
 
 
+_event_rows = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3),
+                                 st.integers(0, 3), st.booleans()), max_size=15)
+
+
+@settings(max_examples=300)
+@given(a=_event_rows, b=_event_rows, repeat=st.integers(0, 3))
+def test_shared_events_property(a, b, repeat):
+    # small column ranges make rows repeat within a log and across the two;
+    # ``repeat`` also copies some of a's rows into b
+    b = b + a[:repeat]
+    catalog = Catalog(["u0", "u1", "u2"], ["i0", "i1", "i2"])
+
+    def log(rows):
+        return EventLog(*(np.array([r[c] for r in rows], dtype=np.int64)
+                          for c in range(3)),
+                        click=[r[3] for r in rows], catalog=catalog)
+
+    expected = len(set(a) & set(b))
+    assert log(a).shared_events(log(b)) == expected
+    assert log(b).shared_events(log(a)) == expected
+
+
 def test_index_sequences():
     log = _toy_log(n_users=2, clicks_per_user=2)
     seqs = index_sequences(log, ["u0", "u1"])

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drorec.evaluation import (MetricsReport, coverage, debiasedness_check,
-                               floor_propensities, ideal_reward, metric_c,
-                               metric_values, rank_items, snips_evaluate,
-                               target_ranks)
+                               floor_propensities, metric_values,
+                               snips_evaluate, target_ranks)
 from drorec.model import SeqModel
 
 SNIPS_TOL = 1e-12    # acceptance criterion 4's tolerance
@@ -37,27 +36,30 @@ def test_snips_invariances_property(case, k, scale, random):
 
 
 def test_metric_c_values():
-    assert metric_c(1, 10, "recall") == 1.0
-    assert metric_c(11, 10, "recall") == 0.0
-    assert metric_c(1, 10, "ndcg") == 1.0
-    assert metric_c(3, 10, "ndcg") == pytest.approx(1.0 / np.log2(4.0))
-    assert metric_c(11, 10, "ndcg") == 0.0
+    ranks = np.array([1, 3, 10, 11])
+    np.testing.assert_array_equal(metric_values(ranks, 10, "recall"), [1.0, 1.0, 1.0, 0.0])
+    np.testing.assert_allclose(metric_values(ranks, 10, "ndcg"),
+                               [1.0, 1.0 / np.log2(4.0), 1.0 / np.log2(11.0), 0.0],
+                               rtol=1e-15)
     with pytest.raises(ValueError):
-        metric_c(1, 10, "mrr")
+        metric_values(ranks, 10, "mrr")
 
 
 def test_metric_values_matches_scalar():
-    ranks = np.array([1, 5, 20, 3])
-    for kind in ("recall", "ndcg"):
-        vec = metric_values(ranks, 10, kind)
-        np.testing.assert_allclose(vec, [metric_c(r, 10, kind) for r in ranks])
+    ranks = np.random.default_rng(4).integers(1, 40, size=200)
+    for k in (1, 5, 20):
+        for kind, c in (("recall", lambda r: 1.0),
+                        ("ndcg", lambda r: 1.0 / np.log2(r + 1.0))):
+            expected = [c(r) if r <= k else 0.0 for r in ranks]
+            np.testing.assert_array_equal(metric_values(ranks, k, kind), expected)
 
 
 def test_rank_items_deterministic_ties():
     model = SeqModel(5, 4, 3, "recurrent", seed=0)
     model.params["emb"][1:] = 0.0  # all items tie at logit 0
-    ranking = rank_items(model, [0, 0, 1])
-    assert ranking.tolist() == [1, 2, 3, 4, 5]
+    H, _ = model.forward_states(np.array([[0, 0, 1]] * 5))
+    ranks = target_ranks(model.all_logits(H[:, -1, :], "main"), np.arange(1, 6))
+    assert ranks.tolist() == [1, 2, 3, 4, 5]
 
 
 def test_target_ranks_agree_with_full_ranking():
@@ -66,9 +68,11 @@ def test_target_ranks_agree_with_full_ranking():
     seqs = rng.integers(1, 13, size=(8, 4))
     targets = rng.integers(1, 13, size=8)
     H, _ = model.forward_states(seqs)
-    ranks = target_ranks(model.all_logits(H[:, -1, :], "main"), targets)
+    logits = model.all_logits(H[:, -1, :], "main")
+    logits[:, ::3] = 0.0        # ties, which rank the lower item index first
+    ranks = target_ranks(logits, targets)
     for i in range(8):
-        ranking = rank_items(model, seqs[i])
+        ranking = np.lexsort((np.arange(1, 13), -logits[i])) + 1
         assert ranking[ranks[i] - 1] == targets[i]
 
 
@@ -79,14 +83,6 @@ def test_coverage():
     # disjoint top-k lists covering the catalog hit the upper bound
     disjoint = [np.array([1, 2]), np.array([3, 4])]
     assert coverage(disjoint, 2, 4) == 1.0
-
-
-def test_ideal_reward_requires_relevance():
-    with pytest.raises(ValueError):
-        ideal_reward([np.array([1, 2])], None, 2, "ndcg")
-    rel = np.array([[1.0, 0.0]])
-    val = ideal_reward([np.array([1, 2])], rel, 1, "recall")
-    assert val == pytest.approx(0.5)  # item 1 relevant, ranked first
 
 
 def test_snips_k0_is_plain_mean():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from drorec.data import (Catalog, CatalogMismatchError, EventLog,
-                         parse_event_log, sequences_to_matrix, split_exposure,
-                         truncate_pad)
+                         parse_event_log, sequences_to_matrix, split_exposure)
 from drorec.exposure import (ExposureSimulator, LeakageError, PopularityTable,
                              build_simulator, check_no_leakage,
                              popularity_from, train_exposure_component)
@@ -155,8 +154,8 @@ def test_component_beats_uniform_on_heldout():
         if not held_out:
             continue
         target = held_out[0]
-        state = comp.encode(truncate_pad(history, 12))
-        logits = comp.all_logits(state, "main")
+        H, _ = comp.forward_states(sequences_to_matrix([history], 12))
+        logits = comp.all_logits(H[0, -1], "main")
         top3 = np.argsort(-logits)[:3] + 1
         hits += int(target in top3)
         rand_hits += int(target in rng.choice(log.catalog.n_items, 3, replace=False) + 1)

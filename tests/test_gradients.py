@@ -5,7 +5,7 @@ import pytest
 
 from drorec.dro import batch_objective
 from drorec.model import SeqModel
-from drorec.nn import Adam, check_gradients
+from drorec.nn import Adam, check_gradients, sigmoid
 
 DIM = 8
 N_ITEMS = 6
@@ -67,32 +67,31 @@ def test_baseline_gradients(method):
     kwargs = dict(method=method, prop_steps=prop, clip=0.3)
 
     def loss(p):
-        # the baselines reweight only the positive BCE gradient; the loss
-        # they descend is the reweighted BCE, reconstructed here directly
-        from drorec.baselines import relmf_loss
-        from drorec.nn import log_sigmoid, sigmoid
-        valid = (seqs[:, :-1] > 0) & (seqs[:, 1:] > 0)
-        H, _ = model.forward_states(seqs, p)
-        states = H[:, :-1, :][valid]
-        pos = seqs[:, 1:][valid]
-        neg = negs[valid]
-        g = states @ p["W_main"] + p["b_main"]
-        r_pos = np.sum(g * p["emb"][pos], axis=1)
-        r_neg = np.sum(g * p["emb"][neg], axis=1)
-        rho = prop[valid]
-        if method == "ips":
-            w = 1.0 / rho
-            pos_term = -w * log_sigmoid(r_pos)
-        elif method == "ips_c":
-            w = np.minimum(1.0 / rho, 1.0 / 0.3)
-            pos_term = -w * log_sigmoid(r_pos)
-        else:
-            pos_term = np.array([relmf_loss(sigmoid(np.array([r]))[0], rh, True)
-                                 for r, rh in zip(r_pos, rho)])
-        return float(np.sum(pos_term - log_sigmoid(-r_neg)) / valid.sum())
+        return batch_objective(model, seqs, negs, params=p, want_grads=False,
+                               **kwargs)["loss_joint"]
 
     def grad(p):
         return batch_objective(model, seqs, negs, params=p, **kwargs)["grads"]
+
+    # the loss the baselines descend, built here independently: the positive
+    # BCE term reweighted or corrected, the negative term left plain
+    valid = (seqs[:, :-1] > 0) & (seqs[:, 1:] > 0)
+    p = model.params
+    H, _ = model.forward_states(seqs)
+    g = H[:, :-1, :][valid] @ p["W_main"] + p["b_main"]
+    r_pos = np.sum(g * p["emb"][seqs[:, 1:][valid]], axis=1)
+    r_neg = np.sum(g * p["emb"][negs[valid]], axis=1)
+    inv = 1.0 / prop[valid]
+    if method == "ips":
+        pos_term = -inv * np.log(sigmoid(r_pos))
+    elif method == "ips_c":
+        pos_term = -np.minimum(inv, 1.0 / 0.3) * np.log(sigmoid(r_pos))
+    else:
+        pos_term = -(inv * np.log(sigmoid(r_pos)) + (1.0 - inv) * np.log(sigmoid(-r_pos)))
+    expected = float(np.sum(pos_term - np.log(sigmoid(-r_neg))) / valid.sum())
+    out = batch_objective(model, seqs, negs, want_grads=False, **kwargs)
+    assert abs(out["loss_rec"] - expected) <= 1e-12
+    assert out["loss_joint"] == out["loss_rec"]
 
     err = check_gradients(loss, grad, model.params, n_coords=60, seed=2)
     assert err < TOL

@@ -1,10 +1,10 @@
-"""Scorer lifecycle: heads, persistence, freezing, empty input."""
+"""Scorer lifecycle: heads, persistence, freezing, padding."""
 
 import numpy as np
 import pytest
 
 from drorec.data import Catalog, CatalogMismatchError
-from drorec.model import EmptySequenceError, SeqModel
+from drorec.model import SeqModel
 from drorec.nn import sigmoid
 
 
@@ -18,8 +18,9 @@ def test_save_load_bit_exact(tmp_path, arch):
     assert loaded.n_items == 7 and loaded.dim == 6 and loaded.max_len == 5
     for k, v in model.params.items():
         assert np.array_equal(loaded.params[k], v)
-    seq = [0, 0, 1, 2, 3]
-    np.testing.assert_array_equal(loaded.encode(seq), model.encode(seq))
+    seqs = np.array([[0, 0, 1, 2, 3], [4, 5, 6, 7, 1]])
+    np.testing.assert_array_equal(loaded.forward_states(seqs)[0],
+                                  model.forward_states(seqs)[0])
 
 
 def test_checkpoint_checked_against_catalog(tmp_path):
@@ -36,23 +37,22 @@ def test_checkpoint_checked_against_catalog(tmp_path):
         SeqModel.load(path, catalog)
 
 
-def test_encode_rejects_all_pad():
-    model = SeqModel(4, 3, 4, "recurrent", seed=0)
-    with pytest.raises(EmptySequenceError):
-        model.encode([0, 0, 0, 0])
+def _last_states(model, seqs):
+    H, _ = model.forward_states(np.asarray(seqs))
+    return H[:, -1, :]
 
 
 def test_heads_are_independent_layers():
     model = SeqModel(5, 4, 3, "attention", seed=2)
-    state = model.encode([0, 1, 2])
-    main = model.score(state, 3, "main")
-    dro = model.score(state, 3, "dro")
-    assert main != dro
+    states = _last_states(model, [[0, 1, 2]])
+    main = model.all_logits(states, "main")
+    dro = model.all_logits(states, "dro")
+    assert not np.array_equal(main, dro)
     model.params["W_dro"] += 1.0
-    assert model.score(state, 3, "main") == main       # main path untouched
-    assert model.score(state, 3, "dro") != dro
+    np.testing.assert_array_equal(model.all_logits(states, "main"), main)  # main path untouched
+    assert not np.array_equal(model.all_logits(states, "dro"), dro)
     with pytest.raises(ValueError):
-        model.score(state, 3, "other")
+        model.all_logits(states, "other")
 
 
 def test_aligned_heads_start_identical():
@@ -76,14 +76,10 @@ def test_realign_heads_copies_current_main_head():
 
 def test_score_range_and_probability():
     model = SeqModel(5, 4, 3, "recurrent", seed=3)
-    state = model.encode([0, 1, 2])
-    logit = model.score(state, 2, "main")
-    prob = sigmoid(np.array([logit]))[0]
-    assert 0.0 < prob < 1.0
-    with pytest.raises(ValueError):
-        model.score(state, 0)
-    with pytest.raises(ValueError):
-        model.score(state, 6)
+    logits = model.all_logits(_last_states(model, [[0, 1, 2], [3, 4, 5]]), "main")
+    assert logits.shape == (2, 5)
+    probs = sigmoid(logits)
+    assert np.all((probs > 0.0) & (probs < 1.0))
 
 
 def test_pad_embedding_stays_zero():
@@ -102,17 +98,19 @@ def test_frozen_model_rejects_training():
 
 
 def test_all_logits_matches_score():
+    # every item's logit is its embedding against the head-transformed state
     model = SeqModel(6, 4, 4, "attention", seed=6)
-    state = model.encode([0, 0, 2, 4])
+    state = _last_states(model, [[0, 0, 2, 4]])[0]
     logits = model.all_logits(state, "main")
     assert logits.shape == (6,)
+    g = state @ model.params["W_main"] + model.params["b_main"]
     for v in range(1, 7):
-        assert logits[v - 1] == pytest.approx(model.score(state, v, "main"))
+        assert logits[v - 1] == pytest.approx(float(model.params["emb"][v] @ g))
 
 
 def test_left_padding_equivalent_to_short_prefix():
     # a prefix padded to max_len must encode like the same items alone
     model = SeqModel(6, 4, 8, "attention", seed=7)
-    a = model.encode([0, 0, 0, 0, 0, 1, 2, 3])
-    b = model.encode([0, 1, 2, 3])
+    a = _last_states(model, [[0, 0, 0, 0, 0, 1, 2, 3]])
+    b = _last_states(model, [[0, 1, 2, 3]])
     np.testing.assert_allclose(a, b, atol=1e-12)

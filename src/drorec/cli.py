@@ -32,7 +32,7 @@ def _load(args) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     config = _load(args)
     out = Path(config.out_dir)
-    pipeline.simulate(config, out)
+    pipeline.write_simulation(config, out)
     save_config(config, out / "config.txt")
     print(f"wrote {out / pipeline.EVENTS_FILE} and {out / pipeline.WORLD_FILE}")
     return 0

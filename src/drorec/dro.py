@@ -57,9 +57,9 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
     seqs is (B, T); position p's state predicts the item at p + 1, with
     negs (B, T-1) the sampled negatives for those targets.  Losses are
     normalized by the number of valid steps in the batch; the per-step
-    inputs q0_steps and prop_steps are aligned with negs.  loss_rec is the
-    BCE with the method's positive term (`baselines.positive_term`), so it
-    is the loss the method's gradients descend.
+    inputs q0_steps (an array or `exposure.StepQ0`) and prop_steps are
+    aligned with negs.  loss_rec is the BCE with the method's positive term
+    (`baselines.positive_term`), the loss the method's gradients descend.
     """
     p = model.params if params is None else params
     # Rows are left-padded: drop the leading columns that are pad in every

@@ -21,8 +21,8 @@ from .model import SeqModel
 from .nn import ADAM_BETA2, load_params, save_params, softmax
 
 FORMAT_VERSION = 2
-# sequences per q0_all_positions call in q0_blocks; whole (rows, T) blocks
-# give the same bits as the full matrix
+# sequences per encoder pass over a user matrix (q0_blocks, step_q0); whole
+# (rows, T) blocks give the same bits as the full matrix
 Q0_BLOCK_ROWS = 64
 
 
@@ -70,6 +70,17 @@ def train_exposure_component(mat: np.ndarray, catalog: Catalog, arch: str, *,
     return model.freeze()
 
 
+def _by_blocks(seqs: np.ndarray, compute) -> np.ndarray:
+    """``compute(block)`` of each block of at most Q0_BLOCK_ROWS rows of seqs, stacked."""
+    out = None
+    for start in range(0, max(len(seqs), 1), Q0_BLOCK_ROWS):
+        part = compute(seqs[start:start + Q0_BLOCK_ROWS])
+        if out is None:
+            out = np.empty((len(seqs),) + part.shape[1:], dtype=part.dtype)
+        out[start:start + len(part)] = part
+    return out
+
+
 @dataclass(kw_only=True)
 class ExposureSimulator:
     component_a: SeqModel      # attention scorer
@@ -82,41 +93,40 @@ class ExposureSimulator:
         self.component_b.freeze()
         self._pop_softmax = softmax(self.popularity.scores)
 
-    def _component_probs(self, model: SeqModel, seqs: np.ndarray) -> np.ndarray:
-        H, _ = model.forward_states(seqs)
-        return softmax(model.all_logits(H, "main"), axis=-1)
+    def _main_heads(self, seqs: np.ndarray) -> np.ndarray:
+        """Both components' main-head outputs at every position, (B, T, 2, dim)."""
+        return np.stack([m.head_out(m.forward_states(seqs)[0], "main")
+                         for m in (self.component_a, self.component_b)], axis=-2)
+
+    def _mixture(self, heads: np.ndarray, normalize: bool = True) -> np.ndarray:
+        """mu0, or q0 with ``normalize``, of `_main_heads` rows, in one buffer."""
+        for k, model in enumerate((self.component_a, self.component_b)):
+            p = heads[..., k, :] @ model.params["emb"][1:].T    # the component's logits
+            p -= p.max(axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=-1, keepdims=True)
+            mu = np.add(mu, p, out=mu) if k else p
+        mu += self.beta * self._pop_softmax
+        if normalize:
+            mu /= mu.sum(axis=-1, keepdims=True)
+        return mu
 
     def mu0_all_positions(self, seqs: np.ndarray) -> np.ndarray:
-        """mu0 vectors for the prefix ending at every position of seqs.
-
-        seqs is (B, T) left-padded interaction indices; output is
-        (B, T, n_items).  Entries at pad positions are meaningless.
-        """
-        pa = self._component_probs(self.component_a, seqs)
-        pb = self._component_probs(self.component_b, seqs)
-        return pa + pb + self.beta * self._pop_softmax
+        """(B, T, n_items) mu0 of the prefix ending at every position of the
+        (B, T) left-padded seqs; meaningless at pad positions."""
+        return self._mixture(self._main_heads(seqs), normalize=False)
 
     def q0_all_positions(self, seqs: np.ndarray) -> np.ndarray:
-        mu = self.mu0_all_positions(seqs)
-        return mu / mu.sum(axis=-1, keepdims=True)
+        return self._mixture(self._main_heads(seqs))
 
     def q0_blocks(self, seqs: np.ndarray, take) -> np.ndarray:
-        """``take(q0, block)`` of every block of at most Q0_BLOCK_ROWS rows
-        of seqs, where q0 is ``q0_all_positions(block)``, stacked along rows.
+        """``take(q0_all_positions(seqs), seqs)``, one block at a time, bit for
+        bit when take works row by row, as slicing and per-row gathers do."""
+        return _by_blocks(seqs, lambda block: take(self.q0_all_positions(block), block))
 
-        Every caller with a whole user matrix goes through here, so the
-        (rows, T, n_items) transient is one block's.  Equals
-        ``take(q0_all_positions(seqs), seqs)`` bit for bit when take works
-        row by row, as slicing and per-row gathers do.
-        """
-        out = None
-        for start in range(0, max(len(seqs), 1), Q0_BLOCK_ROWS):
-            block = seqs[start:start + Q0_BLOCK_ROWS]
-            part = take(self.q0_all_positions(block), block)
-            if out is None:
-                out = np.empty((len(seqs),) + part.shape[1:], dtype=part.dtype)
-            out[start:start + len(block)] = part
-        return out
+    def step_q0(self, seqs: np.ndarray) -> "StepQ0":
+        """The q0 of every training step of seqs: of each prefix but the whole row."""
+        return StepQ0(self, _by_blocks(seqs, lambda block: self._main_heads(block)[:, :-1]))
 
     # ------------------------------------------------------------------
 
@@ -152,6 +162,20 @@ class ExposureSimulator:
         return cls(component_a=comps["a"], component_b=comps["b"],
                    popularity=PopularityTable.from_counts(arrays["pop_counts"]),
                    beta=float(meta["beta"]))
+
+
+@dataclass
+class StepQ0:
+    """Indexes like a (rows, steps, n_items) q0 array without holding one:
+    an index that keeps rows and steps gives a StepQ0, one that picks out
+    steps (a boolean mask) their q0, `q0_all_positions` up to BLAS rounding."""
+
+    sim: ExposureSimulator
+    heads: np.ndarray   # `_main_heads` at every step, (rows, steps, 2, dim)
+
+    def __getitem__(self, index):
+        heads = self.heads[index]
+        return StepQ0(self.sim, heads) if heads.ndim == 4 else self.sim._mixture(heads)
 
 
 def build_simulator(log: EventLog, *, forbidden: EventLog, dim: int, max_len: int,

@@ -22,7 +22,7 @@ from .data import (EventLog, appearance_ordered, index_sequences,
                    split_by_user, split_exposure)
 from .dro import train_model
 from .evaluation import config_fingerprint, evaluate_model
-from .exposure import ExposureSimulator, build_simulator
+from .exposure import ExposureSimulator, StepQ0, build_simulator
 from .model import SeqModel
 from .synthworld import GroundTruthWorld, LoggingPolicy, generate_world, run_feedback_loop
 
@@ -39,8 +39,13 @@ REVISION = f"drorec-{__version__}"
 
 
 def simulate(config: ExperimentConfig, out_dir: Path) -> tuple[EventLog, GroundTruthWorld]:
-    """Generate the synthetic world and its feedback-loop event log, the
-    log indexed as `load_log` indexes the events file written here."""
+    """`write_simulation`, the log indexed as `load_log` indexes its events file."""
+    log, world = write_simulation(config, out_dir)
+    return appearance_ordered(log), world
+
+
+def write_simulation(config: ExperimentConfig, out_dir: Path) -> tuple[EventLog, GroundTruthWorld]:
+    """The synthetic world and its feedback-loop log, in world item order, written to out_dir."""
     out_dir = Path(out_dir)
     if not out_dir.parent.exists():
         raise FileNotFoundError(f"output location {out_dir.parent} does not exist")
@@ -52,7 +57,7 @@ def simulate(config: ExperimentConfig, out_dir: Path) -> tuple[EventLog, GroundT
     log = run_feedback_loop(world, policy, seed=config.seed)
     (out_dir / EVENTS_FILE).write_text(serialize_event_log(log))
     world.save(out_dir / WORLD_FILE)
-    return appearance_ordered(log), world
+    return log, world
 
 
 def load_log(out_dir: Path) -> EventLog:
@@ -144,10 +149,10 @@ def warm_start(config: ExperimentConfig, data: PreparedData,
 
 
 def robust_finetune(model: SeqModel, config: ExperimentConfig,
-                    data: PreparedData, q0_steps: np.ndarray | None,
+                    data: PreparedData, q0_steps: StepQ0 | None,
                     log_path: Path | None = None) -> None:
     """Fine-tune a warm-started model in place with the robust term at
-    weight ``config.a`` over the per-step nominal exposure q0_steps.
+    weight ``config.a`` over the nominal exposure q0_steps (`step_q0`).
 
     A fresh optimizer with slower second-moment decay (fine_beta2) keeps
     the robust term's initial gradient spike in the denominator instead
@@ -174,8 +179,7 @@ def train_backbone(config: ExperimentConfig, out_dir: Path,
     log_path = out_dir / TRAIN_LOG_FILE
     if config.method == "dro":
         model = warm_start(config, data, log_path)
-        q0_steps = (expo_sim.q0_blocks(data.train_seqs, lambda q0, _: q0[:, :-1])
-                    if config.a != 0.0 else None)
+        q0_steps = expo_sim.step_q0(data.train_seqs) if config.a != 0.0 else None
         robust_finetune(model, config, data, q0_steps, log_path)
     else:
         model = _new_model(config, data)

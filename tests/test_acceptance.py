@@ -360,7 +360,7 @@ def _study_seed(seed: int) -> dict:
     pre_mat = sequences_to_matrix(prefixes, cfg.max_click_len)
 
     sim = pipeline.fit_simulator(cfg, data)
-    q0 = sim.q0_blocks(data.train_seqs, lambda q0, _: q0[:, :-1])
+    q0 = sim.step_q0(data.train_seqs)
     base = pipeline.warm_start(cfg, data)
 
     row = {}

@@ -75,10 +75,19 @@ def test_seed_override_changes_output(tiny_config, tmp_path):
             != (out_b / "events.tsv").read_text())
 
 
-def test_simulate_returns_the_log_the_cli_reads(tiny_config, tmp_path):
-    cfg, _ = tiny_config
+def test_simulate_returns_the_log_the_cli_reads(tiny_config, tmp_path, monkeypatch):
+    cfg, path = tiny_config
     log, _ = pipeline.simulate(cfg, tmp_path / "lib")
-    read = load_log(tmp_path / "lib")
+
+    def unused(log):
+        raise AssertionError("drorec simulate reindexed a log it does not return")
+
+    # the CLI writes the same files, without the reindexing only callers need
+    monkeypatch.setattr(pipeline, "appearance_ordered", unused)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+    for name in (pipeline.EVENTS_FILE, pipeline.WORLD_FILE):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+    read = load_log(tmp_path / "cli")
     assert log.catalog.item_ids == read.catalog.item_ids
     assert log.catalog.user_ids == read.catalog.user_ids
     for column in ("user", "item", "time", "click"):

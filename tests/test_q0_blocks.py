@@ -1,9 +1,15 @@
 """q0 built in row blocks against q0_all_positions over the whole matrix.
 
 Every caller that needs q0 over a user matrix goes through
-`ExposureSimulator.q0_blocks`; the results must equal the whole-matrix
-computation bit for bit, since trained models and metrics rely on them.
+`ExposureSimulator.q0_blocks` or, for the robust phase's per-step q0,
+`ExposureSimulator.step_q0`.  The former must equal the whole-matrix
+computation bit for bit, since propensities and metrics rely on it; the
+latter agrees with it to a relative 1e-14 (see its parity test), and its
+memory must not grow with users x length x catalog.
 """
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ import pytest
 from drorec import baselines, exposure, pipeline
 from drorec.config import ExperimentConfig
 from drorec.data import sequences_to_matrix
+from drorec.dro import _valid_steps
 
 BLOCK = 4   # small, so each caller's matrix spans several blocks and a partial one
 
@@ -47,20 +54,73 @@ def test_blocks_match_whole_matrix_at_shipped_block_size(run):
                              size=rng.integers(1, 11)).tolist() for _ in range(n)]
     seqs = sequences_to_matrix(prefixes, 10)
     whole = sim.q0_all_positions(seqs)
-    assert np.array_equal(sim.q0_blocks(seqs, lambda q0, _: q0[:, :-1]), whole[:, :-1])
+    assert np.array_equal(sim.q0_blocks(seqs, lambda q0, _: q0), whole)
     assert np.array_equal(sim.q0_blocks(seqs, lambda q0, _: q0[:, -1]), whole[:, -1])
 
 
-def test_train_precompute_matches_whole_matrix(run, small_blocks, monkeypatch, tmp_path):
+@pytest.mark.parametrize("backbone", ["attention", "recurrent"])
+def test_step_q0_matches_whole_matrix_at_valid_steps(run, small_blocks, monkeypatch,
+                                                     tmp_path, backbone):
+    """The per-step q0 each backbone's train stage hands the robust phase,
+    indexed as `train_model` and `batch_objective` index it, against the
+    whole-matrix q0 at a batch's valid steps.
+
+    Not `np.array_equal`: OpenBLAS dgemm gives a row different bits
+    depending on where that row sits in the call, and a batch's q0 rows
+    are products over its gathered valid steps, where `q0_all_positions`
+    multiplies (T, d) slices.  Neither 50-row chunks nor single gathered
+    rows reproduce the slice products bit for bit.  The bit-exact
+    alternative, a whole (B, T, n_items) q0 block for every batch, computes
+    the q0 of the whole training matrix again in every robust epoch.
+    """
     cfg, _, data, sim, _ = run
     _partial(len(data.train_seqs))
     seen = {}
     monkeypatch.setattr(pipeline, "robust_finetune",
                         lambda model, config, d, q0_steps, log_path:
                         seen.setdefault("q0", q0_steps))
-    pipeline.train_backbone(cfg, tmp_path, data, sim)
-    whole = sim.q0_all_positions(data.train_seqs)[:, :-1, :]
-    assert np.array_equal(seen["q0"], whole)
+    pipeline.train_backbone(dataclasses.replace(cfg, backbone=backbone), tmp_path, data, sim)
+
+    # a batch whose leading column is pad in every row, as batch_objective trims
+    idx = np.flatnonzero(data.train_seqs[:, 0] == 0)[::-1][:2 * BLOCK + 1]
+    seqs = data.train_seqs[idx]
+    first = int(np.argmax(seqs.any(axis=0)))
+    assert first > 0
+    valid = _valid_steps(seqs[:, first:])
+    got = seen["q0"][idx][:, first:][valid]
+    expected = sim.q0_all_positions(seqs)[:, :-1][:, first:][valid]
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+    assert np.abs(got.sum(axis=1) - 1.0).max() < 1e-9   # criterion 1's tolerance
+
+
+def test_robust_phase_memory_does_not_grow_with_users_x_length_x_catalog(tmp_path):
+    """Traced peak of the robust phase, per-step q0 included, on N and 2N
+    training rows: what the extra rows add must stay well below one
+    N x (T-1) x n_items float64 tensor, the size of a q0 held per step."""
+    cfg = ExperimentConfig(
+        out_dir=str(tmp_path), n_users=60, n_items=200, latent_dim=4, slate_size=5,
+        rounds=4, embedding_dim=8, expo_dim=4, epochs=2, warmup_epochs=1,
+        expo_epochs=1, batch_size=16, max_click_len=20, max_expo_len=24,
+        seed=0, method="dro", a=0.5)
+    log, _ = pipeline.simulate(cfg, tmp_path)
+    data = pipeline.prepare(cfg, log)
+    sim = pipeline.fit_simulator(cfg, data)
+    n, T, n_items = 8 * cfg.batch_size, cfg.max_click_len, data.log.catalog.n_items
+    # full-length rows, so every batch has the same number of valid steps
+    rows = np.random.default_rng(0).integers(1, n_items + 1, size=(2 * n, T))
+
+    peaks = []
+    for size in (n, 2 * n):
+        sized = dataclasses.replace(data, train_seqs=rows[:size])
+        model = pipeline._new_model(cfg, sized)
+        tracemalloc.start()
+        try:
+            pipeline.robust_finetune(model, cfg, sized, sim.step_q0(sized.train_seqs))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    tensor = n * (T - 1) * n_items * 8
+    assert peaks[1] - peaks[0] < tensor / 4, (peaks, tensor)
 
 
 def test_for_steps_matches_whole_matrix(run, small_blocks):

@@ -14,6 +14,9 @@ import numpy as np
 from .nn import masked_softmax, uniform_init
 
 N_HEADS = 2
+# bytes of one (rows, heads, T, T) float64 block of backward's attention
+# work; a row that alone exceeds it makes a block of its own
+BLOCK_BYTES = 1 << 20
 
 
 def init_weights(rng: np.random.Generator, dim: int, max_len: int) -> dict[str, np.ndarray]:
@@ -69,15 +72,15 @@ def forward(params: dict[str, np.ndarray], x_items: np.ndarray, mask: np.ndarray
     o = z_merged @ params["att_Wo"] + params["att_bo"]
     h1 = x + o
 
-    pre = h1 @ params["att_W1"]
-    pre += params["att_b1"]
-    f = np.maximum(pre, 0.0)
+    f = h1 @ params["att_W1"]
+    f += params["att_b1"]
+    np.maximum(f, 0.0, out=f)
     h2 = f @ params["att_W2"]
     np.add(h1, h2, out=h2)
     h2 += params["att_b2"]
 
     cache = {"x": x, "q": q, "k": k, "v": v, "attn": attn, "z_merged": z_merged,
-             "h1": h1, "pre": pre, "f": f, "allowed": allowed}
+             "h1": h1, "f": f}
     return h2, cache
 
 
@@ -93,11 +96,11 @@ def backward(params: dict[str, np.ndarray], cache: dict, dH: np.ndarray):
     grads = {}
 
     # feed-forward + residual
-    f, pre, h1 = cache["f"], cache["pre"], cache["h1"]
+    f, h1 = cache["f"], cache["h1"]
     grads["att_W2"] = f.reshape(-1, d).T @ dH.reshape(-1, d)
     grads["att_b2"] = dH.sum(axis=(0, 1))
-    df = dH @ params["att_W2"].T
-    dpre = df * (pre > 0.0)
+    dpre = dH @ params["att_W2"].T
+    dpre *= f > 0.0                   # f = max(pre, 0) is positive where pre is
     grads["att_W1"] = h1.reshape(-1, d).T @ dpre.reshape(-1, d)
     grads["att_b1"] = dpre.sum(axis=(0, 1))
     dh1 = dH + dpre @ params["att_W1"].T
@@ -110,18 +113,25 @@ def backward(params: dict[str, np.ndarray], cache: dict, dH: np.ndarray):
     dz = _split_heads(do @ params["att_Wo"].T)
     dx = dh1.copy()
 
-    # attention
+    # attention, in blocks of whole rows so that its (rows, heads, T, T)
+    # temporaries stay within BLOCK_BYTES; each row's products and sums are
+    # the ones a single block over the batch would compute, bit for bit
     attn, q, k, v = cache["attn"], cache["q"], cache["k"], cache["v"]
-    dattn = dz @ v.transpose(0, 1, 3, 2)
-    dv = attn.transpose(0, 1, 3, 2) @ dz
-    # softmax rows: dS = A * (dA - sum(dA * A)); all-zero rows stay zero
-    row_dot = np.sum(dattn * attn, axis=-1, keepdims=True)
-    dscores = dattn
-    dscores -= row_dot
-    dscores *= attn
-    dq = dscores @ k
+    dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    rows = max(1, BLOCK_BYTES // (N_HEADS * T * T * attn.itemsize))
+    for start in range(0, B, rows):
+        b = slice(start, start + rows)
+        a = attn[b]
+        dattn = dz[b] @ v[b].transpose(0, 1, 3, 2)
+        np.matmul(a.transpose(0, 1, 3, 2), dz[b], out=dv[b])
+        # softmax rows: dS = A * (dA - sum(dA * A)); all-zero rows stay zero
+        row_dot = np.sum(dattn * a, axis=-1, keepdims=True)
+        dscores = dattn
+        dscores -= row_dot
+        dscores *= a
+        np.matmul(dscores, k[b], out=dq[b])
+        np.matmul(dscores.transpose(0, 1, 3, 2), q[b], out=dk[b])
     dq /= np.sqrt(dh)
-    dk = dscores.transpose(0, 1, 3, 2) @ q
     dk /= np.sqrt(dh)
 
     dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)

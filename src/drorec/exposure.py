@@ -12,6 +12,9 @@ so sum_v mu0 = 2 + beta exactly and q0 is a probability vector.
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,20 +181,68 @@ class StepQ0:
         return StepQ0(self.sim, heads) if heads.ndim == 4 else self.sim._mixture(heads)
 
 
+def fit_lanes() -> int:
+    """Threads to fit simulator components on: 2 when BLAS is pinned to one
+    thread (``OPENBLAS_NUM_THREADS``, or if unset ``OMP_NUM_THREADS``, is
+    "1") and at least two CPUs are usable, else 1.  Unpinned, each lane's
+    BLAS would start a thread per core, and two lanes ran slower than one."""
+    pin = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return 2 if pin == "1" and cpus >= 2 else 1
+
+
+def _fit_in_lanes(attention_fits: list, recurrent_fits: list) -> tuple[list, list]:
+    """The results of both lists of calls.  With `fit_lanes` at 2 the
+    recurrent ones run on a worker thread while the attention ones run on
+    this one; otherwise they alternate on this thread, attention first."""
+    if fit_lanes() < 2:
+        done = [fit() for pair in zip(attention_fits, recurrent_fits) for fit in pair]
+        return done[0::2], done[1::2]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        futures = [pool.submit(fit) for fit in recurrent_fits]
+        try:
+            return [fit() for fit in attention_fits], [f.result() for f in futures]
+        finally:
+            for future in futures:      # after a failure, start no further fit
+                future.cancel()
+
+
+def build_simulators(parts: list[tuple[EventLog, EventLog, int]], *, dim: int,
+                     max_len: int, beta: float, epochs: int, lr: float,
+                     batch_size: int) -> list[ExposureSimulator]:
+    """`build_simulator` of each (log, forbidden, seed) part, in order.
+
+    Every part is checked before any component is fit.  Each component
+    is fit with its own seed, so the results do not depend on whether
+    the attention and recurrent components share a thread (`fit_lanes`).
+    """
+    checked = []
+    for log, forbidden, seed in parts:
+        popularity = popularity_from(log)
+        if not popularity.counts.any():
+            raise ValueError("no exposure events to train on")
+        check_no_leakage(log, forbidden)
+        # each user's exposures in time order, users without one left out
+        mat = sequences_to_matrix([s for s in log.item_sequences(clicks=False) if s], max_len)
+        checked.append((mat, log.catalog, seed, popularity))
+    fit = dict(dim=dim, epochs=epochs, lr=lr, batch_size=batch_size)
+    comps_a, comps_b = _fit_in_lanes(
+        [functools.partial(train_exposure_component, mat, catalog, "attention",
+                           seed=seed, **fit) for mat, catalog, seed, _ in checked],
+        [functools.partial(train_exposure_component, mat, catalog, "recurrent",
+                           seed=seed + 1, **fit) for mat, catalog, seed, _ in checked])
+    return [ExposureSimulator(component_a=a, component_b=b, popularity=popularity, beta=beta)
+            for a, b, (_, _, _, popularity) in zip(comps_a, comps_b, checked)]
+
+
 def build_simulator(log: EventLog, *, forbidden: EventLog, dim: int, max_len: int,
                     beta: float, epochs: int, lr: float, batch_size: int,
                     seed: int) -> ExposureSimulator:
     """Train both components on one exposure matrix built from the
     exposures of ``log``, none of which may be in ``forbidden``, and
     assemble the frozen mixture."""
-    popularity = popularity_from(log)
-    if not popularity.counts.any():
-        raise ValueError("no exposure events to train on")
-    check_no_leakage(log, forbidden)
-    # each user's exposures in time order, users without one left out
-    mat = sequences_to_matrix([s for s in log.item_sequences(clicks=False) if s], max_len)
-    fit = dict(dim=dim, epochs=epochs, lr=lr, batch_size=batch_size)
-    comp_a = train_exposure_component(mat, log.catalog, "attention", seed=seed, **fit)
-    comp_b = train_exposure_component(mat, log.catalog, "recurrent", seed=seed + 1, **fit)
-    return ExposureSimulator(component_a=comp_a, component_b=comp_b,
-                             popularity=popularity, beta=beta)
+    return build_simulators([(log, forbidden, seed)], dim=dim, max_len=max_len, beta=beta,
+                            epochs=epochs, lr=lr, batch_size=batch_size)[0]

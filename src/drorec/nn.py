@@ -54,12 +54,14 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def masked_softmax(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the entries where ``allowed`` is True.
+    """Row-wise softmax over the entries where ``allowed`` is True,
+    written over ``scores`` and returned.
 
     Rows with no allowed entry come back all-zero instead of NaN, which
     is what a fully-padded attention query needs.
     """
-    e = np.where(allowed, scores, -np.inf)
+    e = scores
+    np.copyto(e, -np.inf, where=~allowed)
     row_max = np.max(e, axis=-1, keepdims=True)
     row_max[~np.isfinite(row_max)] = 0.0
     e -= row_max

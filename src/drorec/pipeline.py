@@ -22,7 +22,7 @@ from .data import (EventLog, appearance_ordered, index_sequences,
                    split_by_user, split_exposure)
 from .dro import train_model
 from .evaluation import config_fingerprint, evaluate_model
-from .exposure import ExposureSimulator, StepQ0, build_simulator
+from .exposure import ExposureSimulator, StepQ0, build_simulators
 from .model import SeqModel
 from .synthworld import GroundTruthWorld, LoggingPolicy, generate_world, run_feedback_loop
 
@@ -99,19 +99,26 @@ def prepare(config: ExperimentConfig, log: EventLog) -> PreparedData:
         test_prefix_mat=sequences_to_matrix(prefixes, config.max_click_len))
 
 
-def fit_simulator(config: ExperimentConfig, data: PreparedData,
-                  evaluation: bool = False) -> ExposureSimulator:
-    """The exposure simulator, fit on the earlier exposure part, or with
-    ``evaluation`` the evaluation simulator, fit on the later part; neither
-    may see the other's events."""
-    events, forbidden = data.expo_part, data.eval_part
-    if evaluation:
-        events, forbidden = forbidden, events
-    return build_simulator(events, forbidden=forbidden,
-                           dim=config.expo_dim, max_len=config.max_expo_len,
-                           beta=config.beta, epochs=config.expo_epochs, lr=config.lr,
-                           batch_size=config.batch_size,
-                           seed=config.seed + (1000 if evaluation else 0))
+def _fit(config: ExperimentConfig,
+         parts: list[tuple[EventLog, EventLog, int]]) -> list[ExposureSimulator]:
+    return build_simulators(parts, dim=config.expo_dim, max_len=config.max_expo_len,
+                            beta=config.beta, epochs=config.expo_epochs, lr=config.lr,
+                            batch_size=config.batch_size)
+
+
+def fit_simulator(config: ExperimentConfig, data: PreparedData) -> ExposureSimulator:
+    """The exposure simulator, fit on the earlier exposure part; it may
+    not see the later part's events."""
+    return _fit(config, [(data.expo_part, data.eval_part, config.seed)])[0]
+
+
+def fit_simulators(config: ExperimentConfig,
+                   data: PreparedData) -> list[ExposureSimulator]:
+    """The exposure simulator of `fit_simulator` and the evaluation
+    simulator, fit on the later exposure part without seeing the earlier
+    one, their components fit side by side (`exposure.build_simulators`)."""
+    return _fit(config, [(data.expo_part, data.eval_part, config.seed),
+                         (data.eval_part, data.expo_part, config.seed + 1000)])
 
 
 def train_exposure(config: ExperimentConfig, out_dir: Path,
@@ -120,8 +127,7 @@ def train_exposure(config: ExperimentConfig, out_dir: Path,
     out_dir = Path(out_dir)
     if data is None:
         data = prepare(config, load_log(out_dir))
-    expo_sim = fit_simulator(config, data)
-    eval_sim = fit_simulator(config, data, evaluation=True)
+    expo_sim, eval_sim = fit_simulators(config, data)
     expo_sim.save(out_dir / EXPO_SIM_FILE)
     eval_sim.save(out_dir / EVAL_SIM_FILE)
     return expo_sim, eval_sim

@@ -1,14 +1,17 @@
 """Mixture exposure simulator invariants on a tiny trained instance."""
 
 import io
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from drorec import exposure
 from drorec.data import (Catalog, CatalogMismatchError, EventLog,
                          parse_event_log, sequences_to_matrix, split_exposure)
 from drorec.exposure import (ExposureSimulator, LeakageError, PopularityTable,
-                             build_simulator, check_no_leakage,
+                             build_simulator, build_simulators, check_no_leakage,
                              popularity_from, train_exposure_component)
 from drorec.model import SeqModel
 
@@ -161,3 +164,96 @@ def test_component_beats_uniform_on_heldout():
         rand_hits += int(target in rng.choice(log.catalog.n_items, 3, replace=False) + 1)
         trials += 1
     assert hits / trials > rand_hits / trials
+
+
+# ---------------------------------------------------------------------------
+# fitting the components on one or two lanes
+
+FIT = dict(dim=4, max_len=8, beta=0.3, epochs=1, lr=0.01, batch_size=8)
+
+
+def _parts():
+    """The two (log, forbidden, seed) parts of a train-exposure run."""
+    first, second = split_exposure(_toy_events(), 0.7)
+    return [(first, second, 0), (second, first, 1000)]
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    def use(n):
+        monkeypatch.setattr(exposure, "fit_lanes", lambda: n)
+    return use
+
+
+def test_two_lanes_fit_the_arrays_of_one(lanes, monkeypatch):
+    threads = {}
+    real = exposure.train_exposure_component
+
+    def recording(mat, catalog, arch, **kwargs):
+        threads[arch] = threading.current_thread()
+        return real(mat, catalog, arch, **kwargs)
+
+    monkeypatch.setattr(exposure, "train_exposure_component", recording)
+    runs = []
+    for n in (1, 2):
+        lanes(n)
+        runs.append(build_simulators(_parts(), **FIT))
+        assert (threads["recurrent"] is threading.main_thread()) == (n == 1)
+        assert threads["attention"] is threading.main_thread()
+    for one, two in zip(*runs):
+        assert np.array_equal(one.popularity.counts, two.popularity.counts)
+        for comp in ("component_a", "component_b"):
+            a, b = getattr(one, comp).params, getattr(two, comp).params
+            assert a.keys() == b.keys()
+            for name in a:
+                assert np.array_equal(a[name], b[name]), (comp, name)
+
+
+class _LaneFailure(RuntimeError):
+    pass
+
+
+def test_recurrent_lane_error_reaches_the_caller(lanes, monkeypatch):
+    def failing(mat, catalog, arch, **kwargs):
+        if arch == "recurrent":
+            raise _LaneFailure(arch)
+        return None
+
+    monkeypatch.setattr(exposure, "train_exposure_component", failing)
+    lanes(2)
+    before = threading.active_count()
+    with pytest.raises(_LaneFailure, match="recurrent"):
+        build_simulators(_parts(), **FIT)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("leaky", [0, 1])
+def test_leakage_in_any_part_stops_every_fit(lanes, monkeypatch, leaky):
+    started = []
+    monkeypatch.setattr(exposure, "train_exposure_component",
+                        lambda mat, catalog, arch, **kwargs: started.append(arch))
+    lanes(2)
+    parts = _parts()
+    log, _, seed = parts[leaky]
+    parts[leaky] = (log, log.rows(slice(0, 1)), seed)
+    with pytest.raises(LeakageError):
+        build_simulators(parts, **FIT)
+    assert started == []
+
+
+@pytest.mark.parametrize("env, cpus, expected", [
+    ({}, 2, 1),                                            # BLAS not pinned
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),                  # one usable CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OMP_NUM_THREADS": "1"}, 4, 2),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2, 1),   # first one wins
+])
+def test_lane_rule(monkeypatch, env, cpus, expected):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert exposure.fit_lanes() == expected

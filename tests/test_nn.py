@@ -57,7 +57,9 @@ def test_masked_softmax_matches_reference_bit_for_bit():
     allowed = rng.random((6, 2, 9, 9)) < 0.5
     allowed[0, 0, 3] = False                   # a fully masked row
     allowed[1, 1] = False                      # a fully masked head
-    got = masked_softmax(scores, allowed)
+    overwritten = scores.copy()
+    got = masked_softmax(overwritten, allowed)
+    assert got is overwritten
     assert np.array_equal(got, _masked_softmax_reference(scores, allowed))
     assert not np.any(got[0, 0, 3]) and not np.any(got[1, 1])
     assert not np.any(got[~allowed])

@@ -11,11 +11,13 @@ serves the IPS-style baselines and vanilla training so that reductions
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 
 import numpy as np
 
+from . import lanes
 from .baselines import METHODS, positive_term
 from .model import SeqModel
 from .nn import log_sigmoid, scatter_add_rows, sigmoid
@@ -44,6 +46,29 @@ def dro_term(q0: np.ndarray, risks: np.ndarray):
 def _valid_steps(seqs: np.ndarray) -> np.ndarray:
     """Steps where both the prefix-ending item and the target are real."""
     return (seqs[:, :-1] > 0) & (seqs[:, 1:] > 0)
+
+
+def _robust_steps(q0: np.ndarray, y: np.ndarray, target: np.ndarray, terms: np.ndarray,
+                  dlogits: np.ndarray | None, scale: float) -> None:
+    """The robust term of some steps into terms and, given dlogits, the
+    gradient of ``scale`` times it with respect to the dro head's logits.
+
+    q0 and y (overwritten) are the steps' nominal exposure and dro-head
+    scores over the catalog, target the column of each step's positive item.
+    """
+    rows = np.arange(len(target))
+    y_pos = y[rows, target]
+    y[rows, target] = 1.0 - y_pos               # the risks: 1 - y at the target, y elsewhere
+    terms[:], weighted, z = dro_term(q0, y)
+    if dlogits is None:
+        return
+    y[rows, target] = y_pos
+    np.multiply(weighted, scale, out=dlogits)   # dL/drisk
+    dlogits /= z
+    dlogits[rows, target] = -dlogits[rows, target]  # now dL/dy
+    dlogits *= y
+    np.subtract(1.0, y, out=y)
+    dlogits *= y
 
 
 def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
@@ -90,20 +115,27 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
     loss_rec = float(np.sum(pos_loss - log_sigmoid(-r_neg)) / n_steps)
 
     loss_dro = 0.0
-    dro_cache = None
+    dro_grads = None
     if method == "dro" and a != 0.0:
         if q0_steps is None:
             raise ValueError("dro training requires q0 per step")
-        q0 = q0_steps[valid]                        # (Np, n_items)
         gd = model.head_out(states, "dro", p)
-        y = sigmoid(gd @ p["emb"][1:].T)            # (Np, n_items)
-        rows = np.arange(len(pos))
-        y_pos = y[rows, pos - 1]
-        y[rows, pos - 1] = 1.0 - y_pos              # the risks: 1 - y at the target, y elsewhere
-        terms, weighted, z = dro_term(q0, y)
-        y[rows, pos - 1] = y_pos
+        emb = p["emb"][1:]
+        terms = np.empty(n_steps)
+        dlogits = np.empty((n_steps, model.n_items)) if want_grads else None
+        # The q0 and y products run whole, one per lane: a BLAS gives a row
+        # of a product different bits depending on the rows it is computed
+        # with.  The rest works step by step and runs in halves.
+        with lanes.worker() as pool:
+            q0, y = lanes.each(pool, [lambda: q0_steps[valid],      # (Np, n_items)
+                                      lambda: sigmoid(gd @ emb.T)])
+            lanes.each(pool, [functools.partial(_robust_steps, q0[r], y[r], pos[r] - 1, terms[r],
+                                                None if dlogits is None else dlogits[r],
+                                                a / n_steps)
+                              for r in lanes.halves(pool, n_steps)])
+            if want_grads:
+                dro_grads = lanes.each(pool, [lambda: dlogits @ emb, lambda: dlogits.T @ gd])
         loss_dro = float(np.sum(terms) / n_steps)
-        dro_cache = (q0, gd, y, weighted, z, rows)
 
     loss_joint = loss_rec + a * loss_dro
     out = {"loss_rec": loss_rec, "loss_dro": loss_dro,
@@ -123,16 +155,9 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
              "W_dro": np.zeros_like(p["W_dro"]), "b_dro": np.zeros_like(p["b_dro"])}
     dstates = dg @ p["W_main"].T
 
-    if dro_cache is not None:
-        q0, gd, y, weighted, z, rows = dro_cache
-        dlogits = weighted * (a / n_steps)           # dL/drisk, (Np, n_items)
-        dlogits /= z
-        dlogits[rows, pos - 1] = -dlogits[rows, pos - 1]  # now dL/dy
-        dlogits *= y
-        np.subtract(1.0, y, out=y)
-        dlogits *= y
-        dgd = dlogits @ p["emb"][1:]
-        demb[1:] += dlogits.T @ gd
+    if dro_grads is not None:
+        dgd, demb_dro = dro_grads
+        demb[1:] += demb_dro
         grads["W_dro"] = states.T @ dgd
         grads["b_dro"] = dgd.sum(axis=0)
         dstates = dstates + dgd @ p["W_dro"].T
@@ -185,44 +210,45 @@ def train_model(model: SeqModel, seqs: np.ndarray, *, method: str = "none",
     if log_path is not None:
         log_file = open(log_path, "a" if first_epoch else "w")
     try:
-        for epoch in range(epochs):
-            t0 = time.perf_counter()
-            order = rng.permutation(n_users)
-            negs = rng.integers(1, model.n_items + 1, size=(n_users, T - 1))
-            while True:
-                clash = (negs == targets) & (targets > 0)
-                if not clash.any():
-                    break
-                negs[clash] = rng.integers(1, model.n_items + 1, size=int(clash.sum()))
+        with lanes.worker():      # one worker thread serves every step
+            for epoch in range(epochs):
+                t0 = time.perf_counter()
+                order = rng.permutation(n_users)
+                negs = rng.integers(1, model.n_items + 1, size=(n_users, T - 1))
+                while True:
+                    clash = (negs == targets) & (targets > 0)
+                    if not clash.any():
+                        break
+                    negs[clash] = rng.integers(1, model.n_items + 1, size=int(clash.sum()))
 
-            sums = {"loss_rec": 0.0, "loss_dro": 0.0, "loss_joint": 0.0}
-            steps = 0
-            for start in range(0, n_users, batch_size):
-                idx = order[start:start + batch_size]
-                out = batch_objective(
-                    model, seqs[idx], negs[idx], method=method, a=a,
-                    q0_steps=None if q0_steps is None else q0_steps[idx],
-                    prop_steps=None if prop_steps is None else prop_steps[idx],
-                    clip=clip)
-                if not np.isfinite(out["loss_joint"]):
-                    raise NonFiniteLossError(
-                        f"non-finite loss at epoch {epoch}, batch starting {start}: "
-                        f"rec={out['loss_rec']}, dro={out['loss_dro']}")
-                opt.step(model.params, out["grads"])
-                model.params["emb"][0] = 0.0
-                for k in sums:
-                    sums[k] += out[k] * out["n_steps"]
-                steps += out["n_steps"]
-            record = {"epoch": first_epoch + epoch,
-                      "loss_rec": sums["loss_rec"] / steps,
-                      "loss_dro": sums["loss_dro"] / steps,
-                      "loss_joint": sums["loss_joint"] / steps,
-                      "seconds": time.perf_counter() - t0}
-            if phase is not None:
-                record["phase"] = phase
-            records.append(record)
-            if log_file is not None:
-                log_file.write(json.dumps(record) + "\n")
+                sums = {"loss_rec": 0.0, "loss_dro": 0.0, "loss_joint": 0.0}
+                steps = 0
+                for start in range(0, n_users, batch_size):
+                    idx = order[start:start + batch_size]
+                    out = batch_objective(
+                        model, seqs[idx], negs[idx], method=method, a=a,
+                        q0_steps=None if q0_steps is None else q0_steps[idx],
+                        prop_steps=None if prop_steps is None else prop_steps[idx],
+                        clip=clip)
+                    if not np.isfinite(out["loss_joint"]):
+                        raise NonFiniteLossError(
+                            f"non-finite loss at epoch {epoch}, batch starting {start}: "
+                            f"rec={out['loss_rec']}, dro={out['loss_dro']}")
+                    opt.step(model.params, out["grads"])
+                    model.params["emb"][0] = 0.0
+                    for k in sums:
+                        sums[k] += out[k] * out["n_steps"]
+                    steps += out["n_steps"]
+                record = {"epoch": first_epoch + epoch,
+                          "loss_rec": sums["loss_rec"] / steps,
+                          "loss_dro": sums["loss_dro"] / steps,
+                          "loss_joint": sums["loss_joint"] / steps,
+                          "seconds": time.perf_counter() - t0}
+                if phase is not None:
+                    record["phase"] = phase
+                records.append(record)
+                if log_file is not None:
+                    log_file.write(json.dumps(record) + "\n")
     finally:
         if log_file is not None:
             log_file.close()

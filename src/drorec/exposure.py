@@ -13,12 +13,11 @@ so sum_v mu0 = 2 + beta exactly and q0 is a probability vector.
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import lanes
 from .data import Catalog, EventLog, sequences_to_matrix
 from .model import SeqModel
 from .nn import ADAM_BETA2, load_params, save_params, softmax
@@ -181,27 +180,15 @@ class StepQ0:
         return StepQ0(self.sim, heads) if heads.ndim == 4 else self.sim._mixture(heads)
 
 
-def fit_lanes() -> int:
-    """Threads to fit simulator components on: 2 when BLAS is pinned to one
-    thread (``OPENBLAS_NUM_THREADS``, or if unset ``OMP_NUM_THREADS``, is
-    "1") and at least two CPUs are usable, else 1.  Unpinned, each lane's
-    BLAS would start a thread per core, and two lanes ran slower than one."""
-    pin = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return 2 if pin == "1" and cpus >= 2 else 1
-
-
 def _fit_in_lanes(attention_fits: list, recurrent_fits: list) -> tuple[list, list]:
-    """The results of both lists of calls.  With `fit_lanes` at 2 the
-    recurrent ones run on a worker thread while the attention ones run on
-    this one; otherwise they alternate on this thread, attention first."""
-    if fit_lanes() < 2:
-        done = [fit() for pair in zip(attention_fits, recurrent_fits) for fit in pair]
-        return done[0::2], done[1::2]
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    """The results of both lists of calls.  With two lanes (`lanes.worker`)
+    the recurrent ones run on the worker thread while the attention ones run
+    on this one, each fit on one lane; otherwise they alternate on this
+    thread, attention first."""
+    with lanes.worker(share=False) as pool:
+        if pool is None:
+            done = [fit() for pair in zip(attention_fits, recurrent_fits) for fit in pair]
+            return done[0::2], done[1::2]
         futures = [pool.submit(fit) for fit in recurrent_fits]
         try:
             return [fit() for fit in attention_fits], [f.result() for f in futures]
@@ -217,7 +204,7 @@ def build_simulators(parts: list[tuple[EventLog, EventLog, int]], *, dim: int,
 
     Every part is checked before any component is fit.  Each component
     is fit with its own seed, so the results do not depend on whether
-    the attention and recurrent components share a thread (`fit_lanes`).
+    the attention and recurrent components share a thread (`lanes.count`).
     """
     checked = []
     for log, forbidden, seed in parts:

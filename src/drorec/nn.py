@@ -21,15 +21,17 @@ ADAM_EPS = 1e-8
 # the ceilings glibc's own dynamic thresholds reach on 64-bit
 MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 64 << 20
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # mallopt parameters, <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8   # mallopt parameters, <malloc.h>
 
 
 def keep_freed_memory() -> None:
     """Keep freed numpy buffers in the process heap for the next allocation.
 
     Without it glibc hands the per-step temporaries of a training step back
-    to the OS and page-faults fresh pages in on the next step.  Does nothing
-    outside glibc.
+    to the OS and page-faults fresh pages in on the next step.  Every thread
+    allocates from the one heap, so the temporaries a lane's worker thread
+    frees serve the other lane too, instead of staying in an arena of their
+    own.  Does nothing outside glibc.
     """
     if platform.libc_ver()[0] != "glibc":
         return
@@ -37,6 +39,7 @@ def keep_freed_memory() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

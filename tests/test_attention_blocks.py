@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drorec import attention
+from drorec import attention, lanes
 from drorec.nn import check_gradients
 
 B, T, D = 5, 7, 4
@@ -91,3 +91,10 @@ def test_backward_memory_grows_with_block_not_batch_x_length_squared():
     small, large = (_backward_extra_bytes(b, length, dim) for b in (n, 2 * n))
     tensor = n * attention.N_HEADS * length * length * 8
     assert large - small < tensor / 4, (small, large, tensor)
+
+
+def test_backward_memory_bound_holds_on_two_lanes(monkeypatch):
+    """The same bound with the rows split between two lanes, which share
+    one BLOCK_BYTES budget."""
+    monkeypatch.setattr(lanes, "count", lambda: 2)
+    test_backward_memory_grows_with_block_not_batch_x_length_squared()

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from drorec import exposure
+from drorec import exposure, lanes
 from drorec.data import (Catalog, CatalogMismatchError, EventLog,
                          parse_event_log, sequences_to_matrix, split_exposure)
 from drorec.exposure import (ExposureSimulator, LeakageError, PopularityTable,
@@ -179,13 +179,13 @@ def _parts():
 
 
 @pytest.fixture
-def lanes(monkeypatch):
+def lane_count(monkeypatch):
     def use(n):
-        monkeypatch.setattr(exposure, "fit_lanes", lambda: n)
+        monkeypatch.setattr(lanes, "count", lambda: n)
     return use
 
 
-def test_two_lanes_fit_the_arrays_of_one(lanes, monkeypatch):
+def test_two_lanes_fit_the_arrays_of_one(lane_count, monkeypatch):
     threads = {}
     real = exposure.train_exposure_component
 
@@ -196,7 +196,7 @@ def test_two_lanes_fit_the_arrays_of_one(lanes, monkeypatch):
     monkeypatch.setattr(exposure, "train_exposure_component", recording)
     runs = []
     for n in (1, 2):
-        lanes(n)
+        lane_count(n)
         runs.append(build_simulators(_parts(), **FIT))
         assert (threads["recurrent"] is threading.main_thread()) == (n == 1)
         assert threads["attention"] is threading.main_thread()
@@ -213,14 +213,14 @@ class _LaneFailure(RuntimeError):
     pass
 
 
-def test_recurrent_lane_error_reaches_the_caller(lanes, monkeypatch):
+def test_recurrent_lane_error_reaches_the_caller(lane_count, monkeypatch):
     def failing(mat, catalog, arch, **kwargs):
         if arch == "recurrent":
             raise _LaneFailure(arch)
         return None
 
     monkeypatch.setattr(exposure, "train_exposure_component", failing)
-    lanes(2)
+    lane_count(2)
     before = threading.active_count()
     with pytest.raises(_LaneFailure, match="recurrent"):
         build_simulators(_parts(), **FIT)
@@ -228,11 +228,11 @@ def test_recurrent_lane_error_reaches_the_caller(lanes, monkeypatch):
 
 
 @pytest.mark.parametrize("leaky", [0, 1])
-def test_leakage_in_any_part_stops_every_fit(lanes, monkeypatch, leaky):
+def test_leakage_in_any_part_stops_every_fit(lane_count, monkeypatch, leaky):
     started = []
     monkeypatch.setattr(exposure, "train_exposure_component",
                         lambda mat, catalog, arch, **kwargs: started.append(arch))
-    lanes(2)
+    lane_count(2)
     parts = _parts()
     log, _, seed = parts[leaky]
     parts[leaky] = (log, log.rows(slice(0, 1)), seed)
@@ -256,4 +256,4 @@ def test_lane_rule(monkeypatch, env, cpus, expected):
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    assert exposure.fit_lanes() == expected
+    assert lanes.count() == expected

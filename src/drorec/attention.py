@@ -60,10 +60,9 @@ def forward(params: dict[str, np.ndarray], x_items: np.ndarray, mask: np.ndarray
     cache = {name: np.empty((B, T, d)) for name in ("x", "q", "k", "v", "z_merged", "h1", "f")}
     cache["attn"] = np.empty((B, N_HEADS, T, T))
     h2 = np.empty((B, T, d))
-    with lanes.worker() as pool:
-        lanes.each(pool, [functools.partial(_forward_rows, params, x_items[b], mask[b],
-                                            _rows(cache, b), h2[b])
-                          for b in lanes.halves(pool, B)])
+    lanes.each([functools.partial(_forward_rows, params, x_items[b], mask[b], _rows(cache, b),
+                                  h2[b])
+                for b in lanes.halves(B)])
     for name in ("q", "k", "v"):
         cache[name] = _split_heads(cache[name])
     return h2, cache
@@ -114,19 +113,18 @@ def backward(params: dict[str, np.ndarray], cache: dict, dH: np.ndarray):
     x = cache["x"]
     B, T, d = x.shape
     g = {name: np.empty((B, T, d)) for name in ("dpre", "dh1", "dq", "dk", "dv", "dx")}
-    with lanes.worker() as pool:
-        parts = lanes.halves(pool, B)
-        # the lanes share one BLOCK_BYTES budget for their (rows, heads, T, T)
-        # blocks, allocated here so the peak does not depend on their timing
-        rows = max(1, BLOCK_BYTES // (N_HEADS * T * T * 8) // len(parts))
-        scratch = [np.empty((2, min(rows, b.stop - b.start), N_HEADS, T, T)) for b in parts]
-        lanes.each(pool, [functools.partial(_backward_rows, params, _rows(cache, b), dH[b],
-                                            _rows(g, b), rows, s)
-                          for b, s in zip(parts, scratch)])
-        grads = {}
-        for part in lanes.each(pool, [functools.partial(_feed_forward_grads, cache, dH, g),
-                                      functools.partial(_attention_grads, params, cache, g)]):
-            grads.update(part)
+    parts = lanes.halves(B)
+    # the lanes share one BLOCK_BYTES budget for their (rows, heads, T, T)
+    # blocks, allocated here so the peak does not depend on their timing
+    rows = max(1, BLOCK_BYTES // (N_HEADS * T * T * 8) // len(parts))
+    scratch = [np.empty((2, min(rows, b.stop - b.start), N_HEADS, T, T)) for b in parts]
+    lanes.each([functools.partial(_backward_rows, params, _rows(cache, b), dH[b], _rows(g, b),
+                                  rows, s)
+                for b, s in zip(parts, scratch)])
+    grads = {}
+    for part in lanes.each([functools.partial(_feed_forward_grads, cache, dH, g),
+                            functools.partial(_attention_grads, params, cache, g)]):
+        grads.update(part)
     return grads, g["dx"]
 
 

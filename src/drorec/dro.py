@@ -126,15 +126,13 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
         # The q0 and y products run whole, one per lane: a BLAS gives a row
         # of a product different bits depending on the rows it is computed
         # with.  The rest works step by step and runs in halves.
-        with lanes.worker() as pool:
-            q0, y = lanes.each(pool, [lambda: q0_steps[valid],      # (Np, n_items)
-                                      lambda: sigmoid(gd @ emb.T)])
-            lanes.each(pool, [functools.partial(_robust_steps, q0[r], y[r], pos[r] - 1, terms[r],
-                                                None if dlogits is None else dlogits[r],
-                                                a / n_steps)
-                              for r in lanes.halves(pool, n_steps)])
-            if want_grads:
-                dro_grads = lanes.each(pool, [lambda: dlogits @ emb, lambda: dlogits.T @ gd])
+        q0, y = lanes.each([lambda: q0_steps[valid],                # (Np, n_items)
+                            lambda: sigmoid(gd @ emb.T)])
+        lanes.each([functools.partial(_robust_steps, q0[r], y[r], pos[r] - 1, terms[r],
+                                      None if dlogits is None else dlogits[r], a / n_steps)
+                    for r in lanes.halves(n_steps)])
+        if want_grads:
+            dro_grads = lanes.each([lambda: dlogits @ emb, lambda: dlogits.T @ gd])
         loss_dro = float(np.sum(terms) / n_steps)
 
     loss_joint = loss_rec + a * loss_dro
@@ -210,45 +208,44 @@ def train_model(model: SeqModel, seqs: np.ndarray, *, method: str = "none",
     if log_path is not None:
         log_file = open(log_path, "a" if first_epoch else "w")
     try:
-        with lanes.worker():      # one worker thread serves every step
-            for epoch in range(epochs):
-                t0 = time.perf_counter()
-                order = rng.permutation(n_users)
-                negs = rng.integers(1, model.n_items + 1, size=(n_users, T - 1))
-                while True:
-                    clash = (negs == targets) & (targets > 0)
-                    if not clash.any():
-                        break
-                    negs[clash] = rng.integers(1, model.n_items + 1, size=int(clash.sum()))
+        for epoch in range(epochs):
+            t0 = time.perf_counter()
+            order = rng.permutation(n_users)
+            negs = rng.integers(1, model.n_items + 1, size=(n_users, T - 1))
+            while True:
+                clash = (negs == targets) & (targets > 0)
+                if not clash.any():
+                    break
+                negs[clash] = rng.integers(1, model.n_items + 1, size=int(clash.sum()))
 
-                sums = {"loss_rec": 0.0, "loss_dro": 0.0, "loss_joint": 0.0}
-                steps = 0
-                for start in range(0, n_users, batch_size):
-                    idx = order[start:start + batch_size]
-                    out = batch_objective(
-                        model, seqs[idx], negs[idx], method=method, a=a,
-                        q0_steps=None if q0_steps is None else q0_steps[idx],
-                        prop_steps=None if prop_steps is None else prop_steps[idx],
-                        clip=clip)
-                    if not np.isfinite(out["loss_joint"]):
-                        raise NonFiniteLossError(
-                            f"non-finite loss at epoch {epoch}, batch starting {start}: "
-                            f"rec={out['loss_rec']}, dro={out['loss_dro']}")
-                    opt.step(model.params, out["grads"])
-                    model.params["emb"][0] = 0.0
-                    for k in sums:
-                        sums[k] += out[k] * out["n_steps"]
-                    steps += out["n_steps"]
-                record = {"epoch": first_epoch + epoch,
-                          "loss_rec": sums["loss_rec"] / steps,
-                          "loss_dro": sums["loss_dro"] / steps,
-                          "loss_joint": sums["loss_joint"] / steps,
-                          "seconds": time.perf_counter() - t0}
-                if phase is not None:
-                    record["phase"] = phase
-                records.append(record)
-                if log_file is not None:
-                    log_file.write(json.dumps(record) + "\n")
+            sums = {"loss_rec": 0.0, "loss_dro": 0.0, "loss_joint": 0.0}
+            steps = 0
+            for start in range(0, n_users, batch_size):
+                idx = order[start:start + batch_size]
+                out = batch_objective(
+                    model, seqs[idx], negs[idx], method=method, a=a,
+                    q0_steps=None if q0_steps is None else q0_steps[idx],
+                    prop_steps=None if prop_steps is None else prop_steps[idx],
+                    clip=clip)
+                if not np.isfinite(out["loss_joint"]):
+                    raise NonFiniteLossError(
+                        f"non-finite loss at epoch {epoch}, batch starting {start}: "
+                        f"rec={out['loss_rec']}, dro={out['loss_dro']}")
+                opt.step(model.params, out["grads"])
+                model.params["emb"][0] = 0.0
+                for k in sums:
+                    sums[k] += out[k] * out["n_steps"]
+                steps += out["n_steps"]
+            record = {"epoch": first_epoch + epoch,
+                      "loss_rec": sums["loss_rec"] / steps,
+                      "loss_dro": sums["loss_dro"] / steps,
+                      "loss_joint": sums["loss_joint"] / steps,
+                      "seconds": time.perf_counter() - t0}
+            if phase is not None:
+                record["phase"] = phase
+            records.append(record)
+            if log_file is not None:
+                log_file.write(json.dumps(record) + "\n")
     finally:
         if log_file is not None:
             log_file.close()

@@ -12,7 +12,6 @@ so sum_v mu0 = 2 + beta exactly and q0 is a probability vector.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,31 +179,16 @@ class StepQ0:
         return StepQ0(self.sim, heads) if heads.ndim == 4 else self.sim._mixture(heads)
 
 
-def _fit_in_lanes(attention_fits: list, recurrent_fits: list) -> tuple[list, list]:
-    """The results of both lists of calls.  With two lanes (`lanes.worker`)
-    the recurrent ones run on the worker thread while the attention ones run
-    on this one, each fit on one lane; otherwise they alternate on this
-    thread, attention first."""
-    with lanes.worker(share=False) as pool:
-        if pool is None:
-            done = [fit() for pair in zip(attention_fits, recurrent_fits) for fit in pair]
-            return done[0::2], done[1::2]
-        futures = [pool.submit(fit) for fit in recurrent_fits]
-        try:
-            return [fit() for fit in attention_fits], [f.result() for f in futures]
-        finally:
-            for future in futures:      # after a failure, start no further fit
-                future.cancel()
-
-
 def build_simulators(parts: list[tuple[EventLog, EventLog, int]], *, dim: int,
                      max_len: int, beta: float, epochs: int, lr: float,
                      batch_size: int) -> list[ExposureSimulator]:
-    """`build_simulator` of each (log, forbidden, seed) part, in order.
+    """One frozen mixture per (log, forbidden, seed) part, in order: both
+    components trained on one exposure matrix built from the exposures of
+    ``log``, none of which may be in ``forbidden``.
 
-    Every part is checked before any component is fit.  Each component
-    is fit with its own seed, so the results do not depend on whether
-    the attention and recurrent components share a thread (`lanes.count`).
+    Every part is checked before any component is fit.  The attention fits
+    and the recurrent fits are one `lanes.each`, and each component is fit
+    with its own seed, so the results do not depend on the lane count.
     """
     checked = []
     for log, forbidden, seed in parts:
@@ -216,20 +200,12 @@ def build_simulators(parts: list[tuple[EventLog, EventLog, int]], *, dim: int,
         mat = sequences_to_matrix([s for s in log.item_sequences(clicks=False) if s], max_len)
         checked.append((mat, log.catalog, seed, popularity))
     fit = dict(dim=dim, epochs=epochs, lr=lr, batch_size=batch_size)
-    comps_a, comps_b = _fit_in_lanes(
-        [functools.partial(train_exposure_component, mat, catalog, "attention",
-                           seed=seed, **fit) for mat, catalog, seed, _ in checked],
-        [functools.partial(train_exposure_component, mat, catalog, "recurrent",
-                           seed=seed + 1, **fit) for mat, catalog, seed, _ in checked])
+
+    def fits(arch, seed_offset):
+        return lambda: [train_exposure_component(mat, catalog, arch, seed=seed + seed_offset, **fit)
+                        for mat, catalog, seed, _ in checked]
+
+    comps_a, comps_b = lanes.each([fits("attention", 0), fits("recurrent", 1)])
     return [ExposureSimulator(component_a=a, component_b=b, popularity=popularity, beta=beta)
             for a, b, (_, _, _, popularity) in zip(comps_a, comps_b, checked)]
 
-
-def build_simulator(log: EventLog, *, forbidden: EventLog, dim: int, max_len: int,
-                    beta: float, epochs: int, lr: float, batch_size: int,
-                    seed: int) -> ExposureSimulator:
-    """Train both components on one exposure matrix built from the
-    exposures of ``log``, none of which may be in ``forbidden``, and
-    assemble the frozen mixture."""
-    return build_simulators([(log, forbidden, seed)], dim=dim, max_len=max_len, beta=beta,
-                            epochs=epochs, lr=lr, batch_size=batch_size)[0]

@@ -9,13 +9,22 @@ not depend on the number of lanes.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
-_held = threading.Lock()        # taken while a second lane is in use
-_local = threading.local()      # .pool: the pool this thread shares with its nested calls
+_held = threading.Lock()        # taken while `each` uses the lane thread
+_lane = None                    # the lane thread's one-thread pool, started on first use
+
+
+def _reset() -> None:
+    """A forked child has no lane thread, and nothing holds its lanes."""
+    global _held, _lane
+    _held, _lane = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):       # no fork on Windows
+    os.register_at_fork(after_in_child=_reset)
 
 
 def count() -> int:
@@ -31,51 +40,33 @@ def count() -> int:
     return 2 if pin == "1" and cpus >= 2 else 1
 
 
-@contextlib.contextmanager
-def worker(share: bool = True):
-    """A one-thread pool for the second lane, held until the block ends, or
-    None: with one lane (`count`), or while the lanes are held elsewhere.
-
-    With ``share``, calls to `worker` that this thread makes inside the block
-    get the same pool, so that one thread serves, say, every step of a
-    training run.  Calls from any other thread, the pool's own included, get
-    None, so that work started inside a lane stays on that lane and lanes
-    never nest.  The pool's thread is joined before the block is left, on an
-    exception too.
-    """
-    shared = getattr(_local, "pool", None)
-    if shared is not None:
-        yield shared
-        return
-    if count() < 2 or not _held.acquire(blocking=False):
-        yield None
-        return
-    try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            _local.pool = pool if share else None
-            try:
-                yield pool
-            finally:
-                _local.pool = None
-    finally:
-        _held.release()
-
-
-def halves(pool, n: int) -> list[slice]:
-    """Rows 0..n as one part per lane: two halves, the first the larger,
-    with a pool and at least two rows; otherwise all rows in one part."""
-    if pool is None or n < 2:
+def halves(n: int) -> list[slice]:
+    """Rows 0..n as one part per lane: two halves, the first the larger, with
+    two lanes free and at least two rows; otherwise all rows in one part."""
+    if n < 2 or count() < 2 or _held.locked():
         return [slice(0, n)]
     mid = (n + 1) // 2
     return [slice(0, mid), slice(mid, n)]
 
 
-def each(pool, calls: list) -> list:
-    """The results of one or two calls.  With a pool the second call runs
-    on its thread while the first runs on this one; otherwise they run
-    here, in order."""
-    if pool is None or len(calls) < 2:
+def each(calls: list) -> list:
+    """The results of one or two calls.  With two lanes free, the second
+    call runs on the process's one lane thread while the first runs on this
+    one, and the lanes are held until both have ended, on a failure too.
+    Otherwise, as for calls made inside either call or on other threads
+    meanwhile, they run here, in order."""
+    global _lane
+    if len(calls) < 2 or count() < 2 or not _held.acquire(blocking=False):
         return [call() for call in calls]
-    first, second = calls
-    future = pool.submit(second)
-    return [first(), future.result()]
+    try:
+        if _lane is None:
+            _lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="drorec-lane")
+        first, second = calls
+        future = _lane.submit(second)
+        try:
+            result = first()
+        finally:
+            wait([future])
+        return [result, future.result()]
+    finally:
+        _held.release()

@@ -33,7 +33,7 @@ class SeqModel:
     """
 
     def __init__(self, n_items: int, dim: int, max_len: int, arch: str, seed: int = 0,
-                 align_heads: bool = False, fingerprint: str = ""):
+                 fingerprint: str = ""):
         if arch not in ARCHS:
             raise ValueError(f"unknown architecture {arch!r}")
         self.n_items = n_items
@@ -53,13 +53,6 @@ class SeqModel:
         for head in HEADS:
             params[f"W_{head}"] = uniform_init(rng, (dim, dim))
             params[f"b_{head}"] = np.zeros(dim)
-        if align_heads:
-            # start both heads from the same layer so that suppression
-            # learned by the dro head moves the shared embeddings in a
-            # direction the main head also sees; the heads still train
-            # independently from step one onward
-            params["W_dro"] = params["W_main"].copy()
-            params["b_dro"] = params["b_main"].copy()
         self.params = params
 
     # ------------------------------------------------------------------

@@ -29,9 +29,9 @@ def keep_freed_memory() -> None:
 
     Without it glibc hands the per-step temporaries of a training step back
     to the OS and page-faults fresh pages in on the next step.  Every thread
-    allocates from the one heap, so the temporaries a lane's worker thread
-    frees serve the other lane too, instead of staying in an arena of their
-    own.  Does nothing outside glibc.
+    allocates from the one heap, so the temporaries the lane thread
+    (`lanes.each`) frees serve the calling thread too, instead of staying in
+    an arena of their own.  Does nothing outside glibc.
     """
     if platform.libc_ver()[0] != "glibc":
         return

@@ -134,11 +134,10 @@ def train_exposure(config: ExperimentConfig, out_dir: Path,
 
 
 def _new_model(config: ExperimentConfig, data: PreparedData) -> SeqModel:
-    """The untrained recommender of the run, both heads starting equal."""
+    """The untrained recommender of the run."""
     catalog = data.log.catalog
     return SeqModel(catalog.n_items, config.embedding_dim, config.max_click_len,
-                    config.backbone, seed=config.seed, align_heads=True,
-                    fingerprint=catalog.fingerprint)
+                    config.backbone, seed=config.seed, fingerprint=catalog.fingerprint)
 
 
 def warm_start(config: ExperimentConfig, data: PreparedData,

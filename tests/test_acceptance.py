@@ -29,7 +29,7 @@ from drorec.config import ExperimentConfig
 from drorec.data import sequences_to_matrix
 from drorec.dro import batch_objective, dro_term, train_model
 from drorec.evaluation import coverage, debiasedness_check, snips_evaluate
-from drorec.exposure import build_simulator
+from drorec.exposure import build_simulators
 from drorec.model import SeqModel
 from drorec.nn import check_gradients, keep_freed_memory, sigmoid, softmax
 from drorec.synthworld import (LoggingPolicy, generate_world, oracle_evaluate,
@@ -107,9 +107,9 @@ def test_criterion_1_exposure_distribution_exactness():
     cfg = ExperimentConfig(n_users=60, n_items=40, latent_dim=4,
                            slate_size=6, rounds=6)
     data = pipeline.prepare(cfg, log)
-    sim = build_simulator(data.expo_part, forbidden=data.eval_part,
-                          dim=8, max_len=40, beta=cfg.beta,
-                          epochs=1, lr=cfg.lr, batch_size=128, seed=0)
+    sim = build_simulators([(data.expo_part, data.eval_part, 0)],
+                           dim=8, max_len=40, beta=cfg.beta,
+                           epochs=1, lr=cfg.lr, batch_size=128)[0]
 
     rng = np.random.default_rng(123)
     prefixes = []
@@ -297,7 +297,7 @@ def test_criterion_5_reductions():
     ones = np.ones((30, T - 1))
 
     def fresh():
-        return SeqModel(n_items, 8, T, "attention", seed=4, align_heads=True)
+        return SeqModel(n_items, 8, T, "attention", seed=4)
 
     vanilla = fresh()
     fit = dict(epochs=3, seed=9, lr=0.005, batch_size=128, beta2=0.999)

@@ -3,6 +3,7 @@
 import io
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from drorec import exposure, lanes
 from drorec.data import (Catalog, CatalogMismatchError, EventLog,
                          parse_event_log, sequences_to_matrix, split_exposure)
 from drorec.exposure import (ExposureSimulator, LeakageError, PopularityTable,
-                             build_simulator, build_simulators, check_no_leakage,
+                             build_simulators, check_no_leakage,
                              popularity_from, train_exposure_component)
 from drorec.model import SeqModel
 
@@ -34,9 +35,9 @@ def _toy_events(n_users=12, n_items=8, length=10, seed=0):
 @pytest.fixture(scope="module")
 def sim_setup():
     log = _toy_events()
-    sim = build_simulator(log.rows(~log.click), forbidden=log.rows(slice(0, 0)),
-                          dim=8, max_len=12, beta=0.3, epochs=2, lr=0.01,
-                          batch_size=8, seed=0)
+    sim = build_simulators([(log.rows(~log.click), log.rows(slice(0, 0)), 0)],
+                           dim=8, max_len=12, beta=0.3, epochs=2, lr=0.01,
+                           batch_size=8)[0]
     return log, sim
 
 
@@ -88,9 +89,8 @@ def test_leakage_guard():
         check_no_leakage(exposures, exposures.rows(slice(0, 3)))
     check_no_leakage(exposures.rows(slice(0, 5)), exposures.rows(slice(5, None)))
     with pytest.raises(LeakageError):
-        build_simulator(exposures, forbidden=exposures.rows(slice(0, 1)), dim=4,
-                        max_len=8, beta=0.3, epochs=1, lr=0.01, batch_size=8,
-                        seed=0)
+        build_simulators([(exposures, exposures.rows(slice(0, 1)), 0)], dim=4,
+                         max_len=8, beta=0.3, epochs=1, lr=0.01, batch_size=8)
 
 
 def test_duplicate_line_across_the_exposure_cut_leaks():
@@ -98,16 +98,16 @@ def test_duplicate_line_across_the_exposure_cut_leaks():
     # lines at t=4 fall on either side, so one event sits in both parts
     shown = (("i0", 0), ("i1", 1), ("i2", 2), ("i3", 3), ("i4", 4), ("i4", 4), ("i5", 5))
     text = "".join(f"u0\t{item}\t{t}\texposure\n" for item, t in shown)
-    fit = dict(dim=4, max_len=8, beta=0.3, epochs=1, lr=0.01, batch_size=8, seed=0)
+    fit = dict(dim=4, max_len=8, beta=0.3, epochs=1, lr=0.01, batch_size=8)
     first, second = split_exposure(parse_event_log(io.StringIO(text)), 0.7)
     with pytest.raises(LeakageError, match="^1 training events"):
-        build_simulator(first, forbidden=second, **fit)
+        build_simulators([(first, second, 0)], **fit)
     with pytest.raises(LeakageError):
-        build_simulator(second, forbidden=first, **fit)
+        build_simulators([(second, first, 0)], **fit)
     disjoint = text.replace("i4\t4", "i6\t4", 1)
     first, second = split_exposure(parse_event_log(io.StringIO(disjoint)), 0.7)
-    assert build_simulator(first, forbidden=second, **fit).popularity.counts.sum() == 5
-    assert build_simulator(second, forbidden=first, **fit).popularity.counts.sum() == 2
+    assert build_simulators([(first, second, 0)], **fit)[0].popularity.counts.sum() == 5
+    assert build_simulators([(second, first, 0)], **fit)[0].popularity.counts.sum() == 2
 
 
 def test_simulator_save_load_bit_exact(tmp_path, sim_setup):
@@ -214,17 +214,25 @@ class _LaneFailure(RuntimeError):
 
 
 def test_recurrent_lane_error_reaches_the_caller(lane_count, monkeypatch):
+    """The first recurrent fit fails on the lane: the attention fits on this
+    thread still all finish before the error reaches the caller, and the
+    lanes are free again."""
+    fitted = []
+
     def failing(mat, catalog, arch, **kwargs):
         if arch == "recurrent":
             raise _LaneFailure(arch)
-        return None
+        time.sleep(0.05)
+        fitted.append((arch, threading.current_thread()))
 
     monkeypatch.setattr(exposure, "train_exposure_component", failing)
     lane_count(2)
-    before = threading.active_count()
     with pytest.raises(_LaneFailure, match="recurrent"):
         build_simulators(_parts(), **FIT)
-    assert threading.active_count() == before
+    assert fitted == [("attention", threading.main_thread())] * 2
+    second = lanes.each([threading.current_thread, threading.current_thread])[1]
+    assert second is not threading.main_thread()
+    assert [t for t in threading.enumerate() if t is not threading.main_thread()] == [second]
 
 
 @pytest.mark.parametrize("leaky", [0, 1])

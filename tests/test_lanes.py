@@ -4,17 +4,21 @@
 `dro.batch_objective` hand the two halves of their row-wise work to two
 lanes (`drorec.lanes`).  With the lane rule patched to 1 and to 2, every
 result must be `np.array_equal`, and every row must be computed once.
+The second lane is one thread per process, which `lanes.each` holds for
+one pair of calls at a time.
 """
 
-import contextlib
+import itertools
 import json
+import multiprocessing
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from drorec import attention, dro, lanes, pipeline
+from drorec import attention, dro, exposure, lanes, pipeline
 from drorec.config import ExperimentConfig
 from drorec.exposure import ExposureSimulator, PopularityTable
 from drorec.model import SeqModel
@@ -63,6 +67,15 @@ def _use_lanes(monkeypatch, n):
     monkeypatch.setattr(lanes, "count", lambda: n)
 
 
+def _lane_thread():
+    """The thread the second of two calls runs on (with two lanes patched in)."""
+    return lanes.each([threading.current_thread, threading.current_thread])[1]
+
+
+def _other_threads():
+    return [t for t in threading.enumerate() if t is not threading.main_thread()]
+
+
 def _assert_split(calls, rows, n_lanes):
     """Every row once: in one part on this thread, or two parts on two threads."""
     assert sum(r for _, r in calls) == rows
@@ -109,7 +122,7 @@ def _robust_batch(seed=3, n_items=40, batch=9, length=12):
     lens = rng.integers(2, length, size=batch)
     seqs = _left_padded(rng, lens, length, n_items)
     negs = rng.integers(1, n_items + 1, size=(batch, length - 1))
-    model = SeqModel(n_items, 6, length, "attention", seed=4, align_heads=True)
+    model = SeqModel(n_items, 6, length, "attention", seed=4)
     return model, seqs, negs, sim.step_q0(seqs)
 
 
@@ -165,7 +178,9 @@ def test_warm_start_and_robust_finetune_match_one_lane(monkeypatch, tmp_path, sm
         logs.append([{k: v for k, v in json.loads(line).items() if k != "seconds"}
                      for line in log_path.read_text().splitlines()])
         workers = {t for t, _ in threads} - {threading.main_thread()}
-        assert len(workers) == 2 * (n - 1)    # one worker thread serves each phase
+        assert len(workers) == n - 1          # the lane thread serves both phases
+        if n == 2:
+            assert workers == {_lane_thread()}
     assert len(logs[0]) == cfg.epochs
     assert logs[1] == logs[0]
     assert params[1].keys() == params[0].keys()
@@ -189,67 +204,98 @@ def test_row_split_inside_a_fit_lane_runs_inline(monkeypatch, small_run):
     assert [rows for _, rows in forward_rows] == [rows for _, rows in batches]
     assert len(backward_rows) == len(batches)
     assert all(t is threading.main_thread() for t, _ in forward_rows + backward_rows)
+    assert {t for t, arch in recurrent if arch == "recurrent"} == {_lane_thread()}
 
 
-def _fail_in(failing, real):
-    def flaky(*args):
+def _fail_in(failing, real, ended):
+    """real, failing at once on the caller's thread or on the lane thread,
+    and elsewhere first sleeping, then recording its thread in ended."""
+    def flaky(*args, **kwargs):
         on_worker = threading.current_thread() is not threading.main_thread()
         if on_worker == (failing == "worker"):
             raise _HalfFailure(failing)
-        return real(*args)
+        time.sleep(0.05)              # so that a failure not waited for shows
+        out = real(*args, **kwargs)
+        ended.append(threading.current_thread())
+        return out
     return flaky
 
 
 @pytest.mark.parametrize("failing", ["caller", "worker"])
-@pytest.mark.parametrize("where", ["forward", "robust block", "training run"])
-def test_error_in_a_half_reaches_the_caller(monkeypatch, failing, where):
+@pytest.mark.parametrize("where", ["forward", "robust block", "training run", "simulator fit"])
+def test_error_in_a_half_reaches_the_caller(monkeypatch, small_run, failing, where):
+    """The failure reaches the caller with its type, only after the other
+    half has ended; then the lanes are free, on one lane thread still."""
     _use_lanes(monkeypatch, 2)
     model, seqs, negs, q0_steps = _robust_batch()
+    ended = []
     if where == "forward":
-        monkeypatch.setattr(attention, "_forward_rows", _fail_in(failing, attention._forward_rows))
+        monkeypatch.setattr(attention, "_forward_rows",
+                            _fail_in(failing, attention._forward_rows, ended))
         params, x, mask, _ = _inputs(5)
         run = lambda: attention.forward(params, x, mask)                     # noqa: E731
     elif where == "robust block":
-        monkeypatch.setattr(dro, "_robust_steps", _fail_in(failing, dro._robust_steps))
+        monkeypatch.setattr(dro, "_robust_steps", _fail_in(failing, dro._robust_steps, ended))
         run = lambda: dro.batch_objective(model, seqs, negs, method="dro",   # noqa: E731
                                           a=0.1, q0_steps=q0_steps)
-    else:
-        monkeypatch.setattr(attention, "_backward_rows", _fail_in(failing, attention._backward_rows))
+    elif where == "training run":
+        monkeypatch.setattr(attention, "_backward_rows",
+                            _fail_in(failing, attention._backward_rows, ended))
         run = lambda: dro.train_model(model, seqs, epochs=1, lr=0.01,       # noqa: E731
                                       batch_size=4, seed=0, beta2=0.999)
-    before = threading.active_count()
+    else:       # the attention fits run on the caller's thread, the recurrent on the lane
+        monkeypatch.setattr(exposure, "train_exposure_component",
+                            _fail_in(failing, lambda *args, **kwargs: None, ended))
+        cfg, data, _ = small_run
+        run = lambda: pipeline.fit_simulators(cfg, data)                     # noqa: E731
     with pytest.raises(_HalfFailure, match=failing):
         run()
-    assert threading.active_count() == before
-    with lanes.worker() as pool:        # and the lanes are free again
-        assert pool is not None
+    ended_first = list(ended)         # before any further use of the lanes
+    other = threading.main_thread() if failing == "worker" else _lane_thread()
+    assert ended_first and set(ended_first) == {other}
+    if where == "simulator fit":
+        assert len(ended_first) == 2  # the other lane's remaining fit finished too
+    assert _lane_thread() is not threading.main_thread()
+    assert len(_other_threads()) == 1
+
+
+def _recording_each(monkeypatch):
+    """Wrap lanes.each to record, per pair of calls, the caller and the
+    (start tick, end tick, thread) of each call."""
+    real = lanes.each
+    ticks = itertools.count()
+    pairs = []
+
+    def each(calls):
+        spans = []
+
+        def timed(call):
+            def run():
+                start = next(ticks)
+                try:
+                    return call()
+                finally:
+                    spans.append((start, next(ticks), threading.current_thread()))
+            return run
+
+        try:
+            return real([timed(call) for call in calls])
+        finally:
+            pairs.append((threading.current_thread(), spans))
+
+    monkeypatch.setattr(lanes, "each", each)
+    return pairs
 
 
 def test_callers_on_many_threads_share_the_lanes_safely(monkeypatch):
-    """Threads that run attention at once, more of them than cores: one at a
-    time holds the lanes, the others run on one lane, and every result
-    equals the one-thread result."""
+    """Threads that run attention at once, more of them than cores: one
+    pair of calls at a time holds the lanes, the others run on one lane,
+    and every result equals the one-thread result."""
     _use_lanes(monkeypatch, 2)
     params, x, mask, dH = _inputs(5)
     H, cache = attention.forward(params, x, mask)
     expected = (H, *attention.backward(params, cache, dH))
-    holders, most = [0], [0]
-    count_lock = threading.Lock()
-    real_worker = lanes.worker
-
-    @contextlib.contextmanager
-    def counting_worker(share=True):
-        with real_worker(share) as pool:
-            with count_lock:
-                holders[0] += pool is not None
-                most[0] = max(most[0], holders[0])
-            try:
-                yield pool
-            finally:
-                with count_lock:
-                    holders[0] -= pool is not None
-
-    monkeypatch.setattr(lanes, "worker", counting_worker)
+    pairs = _recording_each(monkeypatch)
     failures = []
 
     def run():
@@ -275,4 +321,46 @@ def test_callers_on_many_threads_share_the_lanes_safely(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert most[0] == 1
+    held = [(min(start for start, _, _ in spans), max(end for _, end, _ in spans))
+            for caller, spans in pairs if any(t is not caller for _, _, t in spans)]
+    assert held                                 # some pairs ran on two lanes,
+    held.sort()
+    assert all(end < start for (_, end), (start, _) in zip(held, held[1:]))   # one at a time
+    assert len(_other_threads()) == 1
+
+
+def _forward_in_child(params, x, mask, send):
+    try:
+        threads = set()
+        real = attention._forward_rows
+
+        def spy(*args):
+            threads.add(threading.current_thread())
+            return real(*args)
+
+        attention._forward_rows = spy
+        send.send((attention.forward(params, x, mask)[0], len(threads)))
+    except BaseException as exc:      # reported by the parent
+        send.send((repr(exc), 0))
+
+
+def test_forked_child_runs_on_two_lanes(monkeypatch):
+    """A child forked after the lane thread started has no lane thread: it
+    starts its own, and does not wait on the parent's."""
+    _use_lanes(monkeypatch, 2)
+    params, x, mask, _ = _inputs(5)
+    expected = attention.forward(params, x, mask)[0]
+    assert _lane_thread() is not threading.main_thread()
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_forward_in_child, args=(params, x, mask, send))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child did not finish attention.forward"
+        H, n_threads = receive.recv()
+    finally:
+        child.kill()
+        child.join()
+    assert isinstance(H, np.ndarray), H
+    assert n_threads == 2
+    assert np.array_equal(H, expected)

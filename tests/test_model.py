@@ -55,13 +55,6 @@ def test_heads_are_independent_layers():
         model.all_logits(states, "other")
 
 
-def test_aligned_heads_start_identical():
-    model = SeqModel(5, 4, 3, "attention", seed=2, align_heads=True)
-    np.testing.assert_array_equal(model.params["W_dro"], model.params["W_main"])
-    model.params["W_dro"] += 1.0       # still separate arrays afterwards
-    assert not np.array_equal(model.params["W_dro"], model.params["W_main"])
-
-
 def test_realign_heads_copies_current_main_head():
     model = SeqModel(5, 4, 3, "attention", seed=2)
     model.params["W_main"] += 0.5

@@ -32,7 +32,7 @@ def _load(args) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     config = _load(args)
     out = Path(config.out_dir)
-    pipeline.write_simulation(config, out)
+    pipeline.simulate(config, out)
     save_config(config, out / "config.txt")
     print(f"wrote {out / pipeline.EVENTS_FILE} and {out / pipeline.WORLD_FILE}")
     return 0
@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     keep_freed_memory()
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -20,8 +20,10 @@ from .synthworld import POLICY_KINDS
 
 CONFIG_VERSION = 1
 
-# fields that must be > 0: epoch counts, batch size, step size, widths, lengths
-POSITIVE_FIELDS = ("epochs", "expo_epochs", "batch_size", "lr", "latent_dim",
+# fields that must be > 0: world sizes, epoch counts, batch size, step size,
+# widths, lengths
+POSITIVE_FIELDS = ("n_users", "n_items", "slate_size", "rounds", "epochs",
+                   "expo_epochs", "batch_size", "lr", "latent_dim",
                    "embedding_dim", "expo_dim", "max_click_len", "max_expo_len")
 
 
@@ -90,6 +92,8 @@ class ExperimentConfig:
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ConfigError(
                 f"warmup_epochs must be in [0, epochs), got {self.warmup_epochs}")
+        if not self.k_list or min(self.k_list) < 1:
+            raise ConfigError(f"k_list must be non-empty with every k >= 1, got {self.k_list}")
 
 
 def _format_value(value) -> str:

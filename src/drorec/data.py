@@ -210,18 +210,6 @@ def serialize_event_log(log: EventLog) -> str:
                                          log.time.tolist(), log.click.tolist()))
 
 
-def appearance_ordered(log: EventLog) -> EventLog:
-    """The same events under the catalog that parse_event_log gives their
-    serialization: users and items in order of first appearance."""
-    # rows run in user-index order, so sorted users are in order of appearance
-    users, user = np.unique(log.user, return_inverse=True)
-    items, first, item = np.unique(log.item, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    catalog = Catalog([log.catalog.user_ids[u] for u in users.tolist()],
-                      [log.catalog.item_of(i) for i in items[order].tolist()])
-    return EventLog(user, np.argsort(order)[item] + 1, log.time, log.click, catalog)
-
-
 def split_by_user(log: EventLog, ratios: tuple[float, float, float], seed: int) -> DatasetSplit:
     """Partition users into train/valid/test by a seeded shuffle.
 

@@ -3,6 +3,11 @@
 Each step is a pure function of (config, input files, seed): simulate a
 world, train the exposure/evaluation simulators, train a backbone with
 the chosen debiasing method, and evaluate with naive + SNIPS metrics.
+The four stages hand off through the files of one run directory. A
+caller that already holds what a stage would read back from it (the
+prepared data of `load_log`, the simulators, the model) may pass it in;
+`prepare`, `fit_simulator`, `warm_start` and `robust_finetune` are the
+pieces for work in memory.
 """
 
 from __future__ import annotations
@@ -17,9 +22,8 @@ import numpy as np
 
 from . import __version__, baselines
 from .config import ExperimentConfig, config_to_text
-from .data import (EventLog, appearance_ordered, index_sequences,
-                   parse_event_log, sequences_to_matrix, serialize_event_log,
-                   split_by_user, split_exposure)
+from .data import (EventLog, index_sequences, parse_event_log, sequences_to_matrix,
+                   serialize_event_log, split_by_user, split_exposure)
 from .dro import train_model
 from .evaluation import config_fingerprint, evaluate_model
 from .exposure import ExposureSimulator, StepQ0, build_simulators
@@ -38,14 +42,8 @@ METRICS_CSV = "metrics.csv"
 REVISION = f"drorec-{__version__}"
 
 
-def simulate(config: ExperimentConfig, out_dir: Path) -> tuple[EventLog, GroundTruthWorld]:
-    """`write_simulation`, the log indexed as `load_log` indexes its events file."""
-    log, world = write_simulation(config, out_dir)
-    return appearance_ordered(log), world
-
-
-def write_simulation(config: ExperimentConfig, out_dir: Path) -> tuple[EventLog, GroundTruthWorld]:
-    """The synthetic world and its feedback-loop log, in world item order, written to out_dir."""
+def simulate(config: ExperimentConfig, out_dir: Path) -> GroundTruthWorld:
+    """The synthetic world, written to out_dir with its feedback-loop log."""
     out_dir = Path(out_dir)
     if not out_dir.parent.exists():
         raise FileNotFoundError(f"output location {out_dir.parent} does not exist")
@@ -57,7 +55,7 @@ def write_simulation(config: ExperimentConfig, out_dir: Path) -> tuple[EventLog,
     log = run_feedback_loop(world, policy, seed=config.seed)
     (out_dir / EVENTS_FILE).write_text(serialize_event_log(log))
     world.save(out_dir / WORLD_FILE)
-    return log, world
+    return world
 
 
 def load_log(out_dir: Path) -> EventLog:
@@ -112,22 +110,17 @@ def fit_simulator(config: ExperimentConfig, data: PreparedData) -> ExposureSimul
     return _fit(config, [(data.expo_part, data.eval_part, config.seed)])[0]
 
 
-def fit_simulators(config: ExperimentConfig,
-                   data: PreparedData) -> list[ExposureSimulator]:
-    """The exposure simulator of `fit_simulator` and the evaluation
-    simulator, fit on the later exposure part without seeing the earlier
-    one, their components fit side by side (`exposure.build_simulators`)."""
-    return _fit(config, [(data.expo_part, data.eval_part, config.seed),
-                         (data.eval_part, data.expo_part, config.seed + 1000)])
-
-
 def train_exposure(config: ExperimentConfig, out_dir: Path,
                    data: PreparedData | None = None) -> tuple[ExposureSimulator, ExposureSimulator]:
-    """Fit the exposure simulator (70% part) and evaluation simulator (30%)."""
+    """Fit the exposure simulator of `fit_simulator` and the evaluation
+    simulator, the latter on the later exposure part without seeing the
+    earlier one, their components side by side (`exposure.build_simulators`)."""
     out_dir = Path(out_dir)
     if data is None:
         data = prepare(config, load_log(out_dir))
-    expo_sim, eval_sim = fit_simulators(config, data)
+    expo_sim, eval_sim = _fit(config, [
+        (data.expo_part, data.eval_part, config.seed),
+        (data.eval_part, data.expo_part, config.seed + 1000)])
     expo_sim.save(out_dir / EXPO_SIM_FILE)
     eval_sim.save(out_dir / EVAL_SIM_FILE)
     return expo_sim, eval_sim

@@ -75,23 +75,36 @@ def test_seed_override_changes_output(tiny_config, tmp_path):
             != (out_b / "events.tsv").read_text())
 
 
-def test_simulate_returns_the_log_the_cli_reads(tiny_config, tmp_path, monkeypatch):
-    cfg, path = tiny_config
-    log, _ = pipeline.simulate(cfg, tmp_path / "lib")
+def test_library_stages_write_what_the_cli_writes(tiny_config, tmp_path):
+    """The four stage functions on one run directory, the four commands on
+    another: the same files, apart from the seconds each epoch took."""
+    cfg, _ = tiny_config
+    lib, cli_run = tmp_path / "lib", tmp_path / "cli"
+    lib_cfg = dataclasses.replace(cfg, out_dir=str(lib))
+    pipeline.simulate(lib_cfg, lib)
+    pipeline.train_exposure(lib_cfg, lib)
+    pipeline.train_backbone(lib_cfg, lib)
+    pipeline.evaluate(lib_cfg, lib)
+    config = tmp_path / "config.txt"
+    save_config(dataclasses.replace(cfg, out_dir=str(cli_run)), config)
+    for stage in ("simulate", "train-exposure", "train", "evaluate"):
+        assert main([stage, "--config", str(config)]) == 0
 
-    def unused(log):
-        raise AssertionError("drorec simulate reindexed a log it does not return")
+    for name in (pipeline.EVENTS_FILE, pipeline.METRICS_JSON, pipeline.METRICS_CSV):
+        assert (lib / name).read_bytes() == (cli_run / name).read_bytes(), name
+    for name in (pipeline.WORLD_FILE, pipeline.EXPO_SIM_FILE, pipeline.EVAL_SIM_FILE,
+                 pipeline.MODEL_FILE):
+        with np.load(lib / name) as got, np.load(cli_run / name) as expected:
+            assert got.files == expected.files, name
+            for key in got.files:
+                assert np.array_equal(got[key], expected[key]), (name, key)
 
-    # the CLI writes the same files, without the reindexing only callers need
-    monkeypatch.setattr(pipeline, "appearance_ordered", unused)
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
-    for name in (pipeline.EVENTS_FILE, pipeline.WORLD_FILE):
-        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
-    read = load_log(tmp_path / "cli")
-    assert log.catalog.item_ids == read.catalog.item_ids
-    assert log.catalog.user_ids == read.catalog.user_ids
-    for column in ("user", "item", "time", "click"):
-        assert np.array_equal(getattr(log, column), getattr(read, column))
+    def epochs(run):
+        return [{k: v for k, v in json.loads(line).items() if k != "seconds"}
+                for line in (run / pipeline.TRAIN_LOG_FILE).read_text().splitlines()]
+
+    assert epochs(lib) == epochs(cli_run)
+    assert len(epochs(lib)) == cfg.epochs
 
 
 def test_main_keeps_freed_memory_before_dispatch(monkeypatch):
@@ -123,6 +136,16 @@ def test_cli_reports_missing_files(tmp_path, capsys):
     save_config(cfg, path)
     assert main(["evaluate", "--config", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, error", [("--out", "FileExistsError"),
+                                           ("--config", "IsADirectoryError")])
+def test_cli_reports_os_errors(tmp_path, capsys, option, error):
+    """An output location that is a file and a config file that is a directory."""
+    (tmp_path / "file").touch()
+    path = {"--out": tmp_path / "file", "--config": tmp_path}[option]
+    assert main(["simulate", option, str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
 
 
 @pytest.mark.parametrize("payload", ["{}", '{"values": {}}', "[1, 2]"])

@@ -70,6 +70,15 @@ def test_defaults_match_reference_settings():
 
 
 @pytest.mark.parametrize("key, value", [
+    ("n_users", 0),
+    ("n_items", 0),
+    ("slate_size", 0),
+    ("rounds", 0),
+    ("rounds", -1),
+    ("k_list", 0),
+    ("k_list", "5,0"),
+    ("k_list", -3),
+    ("k_list", ""),
     ("a", -1.0),
     ("beta", -0.1),
     ("snips_k", 2.0),
@@ -97,3 +106,4 @@ def test_out_of_range_setting_rejected_at_load(tmp_path, key, value):
 def test_range_boundaries_accepted():
     ExperimentConfig(a=0.0, beta=0.0, snips_k=0.0)
     ExperimentConfig(snips_k=1.0, expo_fraction=0.5)
+    ExperimentConfig(n_users=1, n_items=1, slate_size=1, rounds=1, k_list=(1,))

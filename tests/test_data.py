@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from drorec.data import (CLICK, EXPOSURE, PAD_INDEX, PAD_ITEM, Catalog,
                          ConfigurationError, EventLog, IntegrityError,
-                         ParseError, appearance_ordered, index_sequences,
-                         parse_event_log, sequences_to_matrix,
-                         serialize_event_log, split_by_user, split_exposure,
-                         truncate_pad)
+                         ParseError, index_sequences, parse_event_log,
+                         sequences_to_matrix, serialize_event_log,
+                         split_by_user, split_exposure, truncate_pad)
 
 GOOD_LOG = """\
 # comment line
@@ -178,13 +177,14 @@ def _event_logs(draw):
 @settings(max_examples=60)
 @given(log=_event_logs())
 def test_parse_serialize_roundtrip_property(log):
-    parsed = parse_event_log(io.StringIO(serialize_event_log(log)))
+    """A serialized log parses back to the same events, under a catalog
+    in order of first appearance in the text."""
+    text = serialize_event_log(log)
+    parsed = parse_event_log(io.StringIO(text))
     assert _rows(parsed) == _rows(log)
     assert parsed.catalog.user_ids == log.catalog.user_ids
-    reindexed = appearance_ordered(log)
-    assert parsed.catalog == reindexed.catalog
-    for column in ("user", "item", "time", "click"):
-        assert np.array_equal(getattr(parsed, column), getattr(reindexed, column))
+    items = [line.split("\t")[1] for line in text.splitlines()]
+    assert parsed.catalog.item_ids == list(dict.fromkeys(items))
 
 
 _event_rows = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3),

@@ -157,8 +157,8 @@ def small_run(tmp_path_factory):
         rounds=4, embedding_dim=8, expo_dim=8, lr=0.01, epochs=4,
         warmup_epochs=2, expo_epochs=1, batch_size=16, max_click_len=10,
         max_expo_len=24, k_list=(3, 5), seed=0, method="dro", a=0.1)
-    log, _ = pipeline.simulate(cfg, out)
-    data = pipeline.prepare(cfg, log)
+    pipeline.simulate(cfg, out)
+    data = pipeline.prepare(cfg, pipeline.load_log(out))
     return cfg, data, pipeline.fit_simulator(cfg, data)
 
 
@@ -191,13 +191,13 @@ def test_warm_start_and_robust_finetune_match_one_lane(monkeypatch, tmp_path, sm
 def test_row_split_inside_a_fit_lane_runs_inline(monkeypatch, small_run):
     """Simulator fits hold both lanes: their attention passes run whole,
     on the thread that fits them, and lanes never nest."""
-    cfg, data, _ = small_run
+    cfg, _, _ = small_run
     _use_lanes(monkeypatch, 2)
     batches = _spy(monkeypatch, attention, "forward", lambda p, x, mask: len(x))
     forward_rows = _spy(monkeypatch, attention, "_forward_rows", lambda p, x, *rest: len(x))
     backward_rows = _spy(monkeypatch, attention, "_backward_rows", lambda p, c, dH, *rest: len(dH))
     recurrent = _spy(monkeypatch, dro, "train_model", lambda model, *rest, **kw: model.arch)
-    pipeline.fit_simulators(cfg, data)
+    pipeline.train_exposure(cfg, cfg.out_dir)
     assert {(t is threading.main_thread(), arch) for t, arch in recurrent} == {
         (True, "attention"), (False, "recurrent")}
     assert len(forward_rows) == len(batches) > 0
@@ -246,8 +246,8 @@ def test_error_in_a_half_reaches_the_caller(monkeypatch, small_run, failing, whe
     else:       # the attention fits run on the caller's thread, the recurrent on the lane
         monkeypatch.setattr(exposure, "train_exposure_component",
                             _fail_in(failing, lambda *args, **kwargs: None, ended))
-        cfg, data, _ = small_run
-        run = lambda: pipeline.fit_simulators(cfg, data)                     # noqa: E731
+        cfg, _, _ = small_run
+        run = lambda: pipeline.train_exposure(cfg, cfg.out_dir)              # noqa: E731
     with pytest.raises(_HalfFailure, match=failing):
         run()
     ended_first = list(ended)         # before any further use of the lanes

@@ -9,6 +9,7 @@ memory must not grow with users x length x catalog.
 """
 
 import dataclasses
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -30,10 +31,15 @@ def run(tmp_path_factory):
         rounds=4, embedding_dim=8, expo_dim=8, lr=0.01, epochs=2,
         warmup_epochs=1, expo_epochs=1, batch_size=16, max_click_len=10,
         max_expo_len=24, k_list=(3, 5), seed=0, method="dro", a=0.5)
-    log, _ = pipeline.simulate(cfg, out)
-    data = pipeline.prepare(cfg, log)
-    expo_sim, eval_sim = pipeline.train_exposure(cfg, out, data)
+    pipeline.simulate(cfg, out)
+    expo_sim, eval_sim = pipeline.train_exposure(cfg, out)
+    data = pipeline.prepare(cfg, pipeline.load_log(out))
     return cfg, out, data, expo_sim, eval_sim
+
+
+def _copy(run, tmp_path):
+    """A copy of the fixture's run directory, for a stage to write into."""
+    return shutil.copytree(run[1], tmp_path / "run")
 
 
 @pytest.fixture
@@ -79,7 +85,8 @@ def test_step_q0_matches_whole_matrix_at_valid_steps(run, small_blocks, monkeypa
     monkeypatch.setattr(pipeline, "robust_finetune",
                         lambda model, config, d, q0_steps, log_path:
                         seen.setdefault("q0", q0_steps))
-    pipeline.train_backbone(dataclasses.replace(cfg, backbone=backbone), tmp_path, data, sim)
+    pipeline.train_backbone(dataclasses.replace(cfg, backbone=backbone),
+                            _copy(run, tmp_path))
 
     # a batch whose leading column is pad in every row, as batch_objective trims
     idx = np.flatnonzero(data.train_seqs[:, 0] == 0)[::-1][:2 * BLOCK + 1]
@@ -102,8 +109,8 @@ def test_robust_phase_memory_does_not_grow_with_users_x_length_x_catalog(tmp_pat
         rounds=4, embedding_dim=8, expo_dim=4, epochs=2, warmup_epochs=1,
         expo_epochs=1, batch_size=16, max_click_len=20, max_expo_len=24,
         seed=0, method="dro", a=0.5)
-    log, _ = pipeline.simulate(cfg, tmp_path)
-    data = pipeline.prepare(cfg, log)
+    pipeline.simulate(cfg, tmp_path)
+    data = pipeline.prepare(cfg, pipeline.load_log(tmp_path))
     sim = pipeline.fit_simulator(cfg, data)
     n, T, n_items = 8 * cfg.batch_size, cfg.max_click_len, data.log.catalog.n_items
     # full-length rows, so every batch has the same number of valid steps
@@ -149,8 +156,8 @@ def test_median_exposure_clip_matches_whole_matrix(run, small_blocks):
     assert baselines.median_exposure_clip(sim, seqs, seed=cfg.seed) == expected
 
 
-def test_evaluate_rho_matches_whole_matrix(run, small_blocks, monkeypatch):
-    cfg, out, data, _, eval_sim = run
+def test_evaluate_rho_matches_whole_matrix(run, small_blocks, monkeypatch, tmp_path):
+    cfg, _, data, _, eval_sim = run
     _partial(len(data.test_targets))
     seen = {}
     real = pipeline.evaluate_model
@@ -160,8 +167,9 @@ def test_evaluate_rho_matches_whole_matrix(run, small_blocks, monkeypatch):
         return real(model, prefixes, targets, rho, **kwargs)
 
     monkeypatch.setattr(pipeline, "evaluate_model", capture)
-    model = pipeline._new_model(cfg, data)
-    pipeline.evaluate(cfg, out, data, model, eval_sim)
+    out = _copy(run, tmp_path)
+    pipeline._new_model(cfg, data).save(out / pipeline.MODEL_FILE)
+    pipeline.evaluate(cfg, out)
     q0 = eval_sim.q0_all_positions(data.test_prefix_mat)[:, -1, :]
     expected = q0[np.arange(len(data.test_targets)), data.test_targets - 1]
     assert np.array_equal(seen["rho"], expected)

@@ -156,13 +156,14 @@ def _backward_rows(params, c, dH, g, rows, scratch) -> None:
         dscores *= a
         np.matmul(dscores, k[b], out=dq[b])
         np.matmul(dscores.transpose(0, 1, 3, 2), q[b], out=dk[b])
+    del dz
     dq /= np.sqrt(d // N_HEADS)
     dk /= np.sqrt(d // N_HEADS)
 
-    dxa = g["dq"] @ params["att_Wq"].T
-    dxa += g["dk"] @ params["att_Wk"].T
-    dxa += g["dv"] @ params["att_Wv"].T
-    np.add(dh1, dxa, out=g["dx"])
+    dx = np.matmul(g["dq"], params["att_Wq"].T, out=g["dx"])
+    dx += g["dk"] @ params["att_Wk"].T
+    dx += g["dv"] @ params["att_Wv"].T
+    dx += dh1
 
 
 def _feed_forward_grads(cache, dH, g) -> dict[str, np.ndarray]:

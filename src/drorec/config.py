@@ -94,6 +94,9 @@ class ExperimentConfig:
                 f"warmup_epochs must be in [0, epochs), got {self.warmup_epochs}")
         if not self.k_list or min(self.k_list) < 1:
             raise ConfigError(f"k_list must be non-empty with every k >= 1, got {self.k_list}")
+        if max(self.k_list) > self.n_items:
+            raise ConfigError(f"k_list must have no k above n_items = {self.n_items}, "
+                              f"got {self.k_list}")
 
 
 def _format_value(value) -> str:

@@ -102,8 +102,12 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
     if n_steps == 0:
         raise ValueError("batch contains no trainable steps")
 
+    # Each loss-head array is freed at its last use, so that the encoder's
+    # backward, the peak of a step, holds only its forward cache, dH and
+    # its own gradients.
     H, cache = model.forward_states(seqs, p)
     states = H[:, :-1, :][valid]                    # (Np, d)
+    del H
     pos = seqs[:, 1:][valid]                        # (Np,) item indices
     neg = negs[valid]
 
@@ -114,8 +118,24 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
                                      else prop_steps[valid], clip)
     loss_rec = float(np.sum(pos_loss - log_sigmoid(-r_neg)) / n_steps)
 
+    # the BCE head's gradients come before the robust term, so that its
+    # arrays and the term's never coexist
+    if want_grads:
+        dr_pos = dr_pos / n_steps
+        dr_neg = sigmoid(r_neg) / n_steps
+        dg_rows = np.empty((2 * n_steps, g.shape[1]))   # g's terms, pos then neg rows
+        np.multiply(dr_pos[:, None], g, out=dg_rows[:n_steps])
+        np.multiply(dr_neg[:, None], g, out=dg_rows[n_steps:])
+        demb = scatter_add_rows(np.concatenate([pos, neg]), dg_rows, len(p["emb"]))
+        del dg_rows
+        dg = dr_pos[:, None] * p["emb"][pos] + dr_neg[:, None] * p["emb"][neg]
+        grads = {"W_main": states.T @ dg, "b_main": dg.sum(axis=0),
+                 "W_dro": np.zeros_like(p["W_dro"]), "b_dro": np.zeros_like(p["b_dro"])}
+        dstates = dg @ p["W_main"].T
+        del dg
+    del g
+
     loss_dro = 0.0
-    dro_grads = None
     if method == "dro" and a != 0.0:
         if q0_steps is None:
             raise ValueError("dro training requires q0 per step")
@@ -131,9 +151,16 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
         lanes.each([functools.partial(_robust_steps, q0[r], y[r], pos[r] - 1, terms[r],
                                       None if dlogits is None else dlogits[r], a / n_steps)
                     for r in lanes.halves(n_steps)])
-        if want_grads:
-            dro_grads = lanes.each([lambda: dlogits @ emb, lambda: dlogits.T @ gd])
         loss_dro = float(np.sum(terms) / n_steps)
+        if want_grads:
+            dgd, demb_dro = lanes.each([lambda: dlogits @ emb, lambda: dlogits.T @ gd])
+            del gd, q0, y, dlogits
+            demb[1:] += demb_dro
+            grads["W_dro"] = states.T @ dgd
+            grads["b_dro"] = dgd.sum(axis=0)
+            dstates += dgd @ p["W_dro"].T
+            del dgd, demb_dro
+    del states
 
     loss_joint = loss_rec + a * loss_dro
     out = {"loss_rec": loss_rec, "loss_dro": loss_dro,
@@ -141,27 +168,9 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
     if not want_grads:
         return out
 
-    dr_pos = dr_pos / n_steps
-    dr_neg = sigmoid(r_neg) / n_steps
-
-    dg = dr_pos[:, None] * p["emb"][pos] + dr_neg[:, None] * p["emb"][neg]
-    demb = scatter_add_rows(np.concatenate([pos, neg]),
-                            np.concatenate([dr_pos[:, None] * g, dr_neg[:, None] * g]),
-                            len(p["emb"]))
-
-    grads = {"W_main": states.T @ dg, "b_main": dg.sum(axis=0),
-             "W_dro": np.zeros_like(p["W_dro"]), "b_dro": np.zeros_like(p["b_dro"])}
-    dstates = dg @ p["W_main"].T
-
-    if dro_grads is not None:
-        dgd, demb_dro = dro_grads
-        demb[1:] += demb_dro
-        grads["W_dro"] = states.T @ dgd
-        grads["b_dro"] = dgd.sum(axis=0)
-        dstates = dstates + dgd @ p["W_dro"].T
-
-    dH = np.zeros_like(H)
+    dH = np.zeros((*seqs.shape, model.dim))
     dH[:, :-1, :][valid] = dstates
+    del dstates
     enc_grads = model.backward_states(cache, dH, seqs, p)
     enc_grads["emb"] += demb
     enc_grads["emb"][0] = 0.0

@@ -159,7 +159,14 @@ class MetricsReport:
 def evaluate_model(model, seqs: np.ndarray, targets: np.ndarray,
                    rho: np.ndarray, *, k_list, snips_k: float, seed: int,
                    config_hash: str, revision: str) -> MetricsReport:
-    """Full report for one frozen model on held-out (prefix, target) pairs."""
+    """Full report for one frozen model on held-out (prefix, target) pairs.
+
+    A k above the model's catalog raises ValueError: its top-k list would
+    be the whole catalog, reported under a larger k.
+    """
+    if max(k_list) > model.n_items:
+        raise ValueError(f"k_list {tuple(k_list)} has a k above the model's "
+                         f"{model.n_items} items")
     H, _ = model.forward_states(seqs)
     logits = model.all_logits(H[:, -1, :], "main")       # (B, n_items)
     ranks = target_ranks(logits, targets)

@@ -79,7 +79,8 @@ class SeqModel:
             grads, dx = gru.backward(p, cache, dH)
         else:
             grads, dx = attention.backward(p, cache, dH)
-        demb = scatter_add_rows(seqs, dx, len(p["emb"]))
+        real = seqs > 0                 # pad entries add only to row 0, zeroed below
+        demb = scatter_add_rows(seqs[real], dx[real], len(p["emb"]))
         demb[0] = 0.0
         grads["emb"] = demb
         return grads

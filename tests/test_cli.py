@@ -249,6 +249,24 @@ def test_config_hash_ignores_out_dir(two_worlds, tmp_path):
     assert config_hash(copy) != config_hash(out)
 
 
+@pytest.mark.parametrize("n_items, k_list, error", [
+    (25, "3,26", "ConfigError"),        # k above n_items
+    (100, "3,50", "ValueError"),        # k within n_items, above the model's catalog
+])
+def test_k_above_the_catalog_writes_no_metrics(two_worlds, tmp_path, capsys, n_items, k_list,
+                                               error):
+    out, cfg_path = two_worlds["model"]
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / "metrics.json").unlink(missing_ok=True)
+    config = tmp_path / "config.txt"
+    config.write_text(cfg_path.read_text().replace("n_items = 25", f"n_items = {n_items}")
+                      .replace("k_list = 3,5", f"k_list = {k_list}"))
+    assert main(["evaluate", "--config", str(config), "--out", str(run)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
+    assert not (run / "metrics.json").exists()
+
+
 def test_unversioned_model_rejected(two_worlds, tmp_path, capsys):
     out, cfg_path = two_worlds["model"]
     run = tmp_path / "run"

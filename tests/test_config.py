@@ -79,6 +79,7 @@ def test_defaults_match_reference_settings():
     ("k_list", "5,0"),
     ("k_list", -3),
     ("k_list", ""),
+    ("k_list", "5,301"),           # n_items + 1 at the default 300 items
     ("a", -1.0),
     ("beta", -0.1),
     ("snips_k", 2.0),
@@ -107,3 +108,4 @@ def test_range_boundaries_accepted():
     ExperimentConfig(a=0.0, beta=0.0, snips_k=0.0)
     ExperimentConfig(snips_k=1.0, expo_fraction=0.5)
     ExperimentConfig(n_users=1, n_items=1, slate_size=1, rounds=1, k_list=(1,))
+    ExperimentConfig(n_items=25, k_list=(3, 25))

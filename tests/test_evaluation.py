@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drorec.evaluation import (MetricsReport, coverage, debiasedness_check,
-                               floor_propensities, metric_values,
+                               evaluate_model, floor_propensities, metric_values,
                                snips_evaluate, target_ranks)
 from drorec.model import SeqModel
 
@@ -74,6 +74,19 @@ def test_target_ranks_agree_with_full_ranking():
     for i in range(8):
         ranking = np.lexsort((np.arange(1, 13), -logits[i])) + 1
         assert ranking[ranks[i] - 1] == targets[i]
+
+
+def test_k_above_the_model_catalog_rejected():
+    """A top-13 list of a 12-item model would be its top 12 under @13."""
+    model = SeqModel(12, 6, 4, "attention", seed=3)
+    rng = np.random.default_rng(0)
+    seqs = rng.integers(1, 13, size=(8, 4))
+    targets = rng.integers(1, 13, size=8)
+    kwargs = dict(snips_k=0.1, seed=0, config_hash="", revision="")
+    report = evaluate_model(model, seqs, targets, np.full(8, 0.5), k_list=(3, 12), **kwargs)
+    assert report.coverage[12] == 1.0
+    with pytest.raises(ValueError, match="12 items"):
+        evaluate_model(model, seqs, targets, np.full(8, 0.5), k_list=(3, 13), **kwargs)
 
 
 def test_coverage():

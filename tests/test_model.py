@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from drorec import attention, gru
 from drorec.data import Catalog, CatalogMismatchError
 from drorec.model import SeqModel
-from drorec.nn import sigmoid
+from drorec.nn import scatter_add_rows, sigmoid
 
 
 @pytest.mark.parametrize("arch", ["recurrent", "attention"])
@@ -107,3 +108,22 @@ def test_left_padding_equivalent_to_short_prefix():
     a = _last_states(model, [[0, 0, 0, 0, 0, 1, 2, 3]])
     b = _last_states(model, [[0, 1, 2, 3]])
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("arch", ["recurrent", "attention"])
+def test_embedding_scatter_skips_pad_bit_for_bit(arch):
+    """Pad entries add only to row 0, which backward_states zeroes, so
+    leaving them out of the scatter changes no bit of any other row."""
+    model = SeqModel(9, 6, 7, arch, seed=5)
+    rng = np.random.default_rng(1)
+    seqs = rng.integers(1, 10, size=(4, 7))
+    seqs[0] = 0                       # all pad
+    seqs[1, :3] = 0
+    seqs[2, :6] = 0
+    H, cache = model.forward_states(seqs)
+    dH = rng.standard_normal(H.shape)
+    grads = model.backward_states(cache, dH, seqs)
+    _, dx = {"recurrent": gru, "attention": attention}[arch].backward(model.params, cache, dH)
+    full = scatter_add_rows(seqs, dx, len(model.params["emb"]))
+    full[0] = 0.0
+    assert np.array_equal(grads["emb"], full)

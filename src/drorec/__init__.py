@@ -11,8 +11,7 @@ from .data import (Catalog, DatasetSplit, EventLog, parse_event_log,
 from .dro import dro_term, train_model
 from .evaluation import (MetricsReport, coverage, debiasedness_check,
                          metric_values, snips_evaluate)
-from .exposure import (ExposureSimulator, PopularityTable, build_simulators,
-                       popularity_from, train_exposure_component)
+from .exposure import ExposureSimulator, build_simulators, train_exposure_component
 from .model import SeqModel
 from .synthworld import (GroundTruthWorld, LoggingPolicy, generate_world,
                          oracle_evaluate, run_feedback_loop)

@@ -14,7 +14,9 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import attention
 from .baselines import METHODS
+from .data import RATIO_TOL
 from .model import ARCHS
 from .synthworld import POLICY_KINDS
 
@@ -86,6 +88,19 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0 <= self.snips_k <= 1:
             raise ConfigError(f"snips_k must be in [0, 1], got {self.snips_k}")
+        ratios = (self.train_ratio, self.valid_ratio, self.test_ratio)
+        if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > RATIO_TOL:
+            raise ConfigError(f"train/valid/test ratios must be positive and sum to 1, "
+                              f"got {ratios}")
+        # the simulator's attention component, and an attention backbone,
+        # split their width over the attention heads
+        widths = {"expo_dim": self.expo_dim}
+        if self.backbone == "attention":
+            widths["embedding_dim"] = self.embedding_dim
+        for name, width in widths.items():
+            if width % attention.N_HEADS:
+                raise ConfigError(f"{name} must be divisible by the {attention.N_HEADS} "
+                                  f"attention heads, got {width}")
         if not 0 < self.expo_fraction < 1:
             raise ConfigError(
                 f"expo_fraction must be in (0, 1), got {self.expo_fraction}")

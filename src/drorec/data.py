@@ -37,6 +37,10 @@ class IntegrityError(ValueError):
     """Event log violates the click-implies-exposure invariant."""
 
 
+# how far split ratios may sum from 1
+RATIO_TOL = 1e-9
+
+
 class ConfigurationError(ValueError):
     """Invalid split configuration."""
 
@@ -219,7 +223,7 @@ def split_by_user(log: EventLog, ratios: tuple[float, float, float], seed: int) 
     r_train, r_valid, r_test = ratios
     if min(ratios) <= 0:
         raise ConfigurationError("split ratios must be positive")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if abs(sum(ratios) - 1.0) > RATIO_TOL:
         raise ConfigurationError(f"split ratios must sum to 1, got {sum(ratios)}")
     users = list(log.catalog.user_ids)
     n = len(users)

@@ -49,9 +49,9 @@ def _valid_steps(seqs: np.ndarray) -> np.ndarray:
 
 
 def _robust_steps(q0: np.ndarray, y: np.ndarray, target: np.ndarray, terms: np.ndarray,
-                  dlogits: np.ndarray | None, scale: float) -> None:
-    """The robust term of some steps into terms and, given dlogits, the
-    gradient of ``scale`` times it with respect to the dro head's logits.
+                  dlogits: np.ndarray, scale: float) -> None:
+    """The robust term of some steps into terms, and the gradient of
+    ``scale`` times it with respect to the dro head's logits into dlogits.
 
     q0 and y (overwritten) are the steps' nominal exposure and dro-head
     scores over the catalog, target the column of each step's positive item.
@@ -60,8 +60,6 @@ def _robust_steps(q0: np.ndarray, y: np.ndarray, target: np.ndarray, terms: np.n
     y_pos = y[rows, target]
     y[rows, target] = 1.0 - y_pos               # the risks: 1 - y at the target, y elsewhere
     terms[:], weighted, z = dro_term(q0, y)
-    if dlogits is None:
-        return
     y[rows, target] = y_pos
     np.multiply(weighted, scale, out=dlogits)   # dL/drisk
     dlogits /= z
@@ -75,9 +73,8 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
                     method: str = "none", a: float = 0.0,
                     q0_steps: np.ndarray | None = None,
                     prop_steps: np.ndarray | None = None,
-                    clip: float | None = None,
-                    params: dict | None = None, want_grads: bool = True):
-    """Losses (and optionally gradients) for one batch of sequences.
+                    clip: float | None = None):
+    """Losses and the gradients of the model's parameters for one batch.
 
     seqs is (B, T); position p's state predicts the item at p + 1, with
     negs (B, T-1) the sampled negatives for those targets.  Losses are
@@ -86,7 +83,7 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
     aligned with negs.  loss_rec is the BCE with the method's positive term
     (`baselines.positive_term`), the loss the method's gradients descend.
     """
-    p = model.params if params is None else params
+    p = model.params
     # Rows are left-padded: drop the leading columns that are pad in every
     # row, so the encoders skip them.  Each step keeps its place and order,
     # and attention positions are right-aligned, so only the order of some
@@ -105,13 +102,13 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
     # Each loss-head array is freed at its last use, so that the encoder's
     # backward, the peak of a step, holds only its forward cache, dH and
     # its own gradients.
-    H, cache = model.forward_states(seqs, p)
+    H, cache = model.forward_states(seqs)
     states = H[:, :-1, :][valid]                    # (Np, d)
     del H
     pos = seqs[:, 1:][valid]                        # (Np,) item indices
     neg = negs[valid]
 
-    g = model.head_out(states, "main", p)
+    g = model.head_out(states, "main")
     r_pos = np.sum(g * p["emb"][pos], axis=1)
     r_neg = np.sum(g * p["emb"][neg], axis=1)
     pos_loss, dr_pos = positive_term(method, r_pos, None if prop_steps is None
@@ -120,63 +117,55 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
 
     # the BCE head's gradients come before the robust term, so that its
     # arrays and the term's never coexist
-    if want_grads:
-        dr_pos = dr_pos / n_steps
-        dr_neg = sigmoid(r_neg) / n_steps
-        dg_rows = np.empty((2 * n_steps, g.shape[1]))   # g's terms, pos then neg rows
-        np.multiply(dr_pos[:, None], g, out=dg_rows[:n_steps])
-        np.multiply(dr_neg[:, None], g, out=dg_rows[n_steps:])
-        demb = scatter_add_rows(np.concatenate([pos, neg]), dg_rows, len(p["emb"]))
-        del dg_rows
-        dg = dr_pos[:, None] * p["emb"][pos] + dr_neg[:, None] * p["emb"][neg]
-        grads = {"W_main": states.T @ dg, "b_main": dg.sum(axis=0),
-                 "W_dro": np.zeros_like(p["W_dro"]), "b_dro": np.zeros_like(p["b_dro"])}
-        dstates = dg @ p["W_main"].T
-        del dg
-    del g
+    dr_pos = dr_pos / n_steps
+    dr_neg = sigmoid(r_neg) / n_steps
+    dg_rows = np.empty((2 * n_steps, g.shape[1]))   # g's terms, pos then neg rows
+    np.multiply(dr_pos[:, None], g, out=dg_rows[:n_steps])
+    np.multiply(dr_neg[:, None], g, out=dg_rows[n_steps:])
+    demb = scatter_add_rows(np.concatenate([pos, neg]), dg_rows, len(p["emb"]))
+    del g, dg_rows
+    dg = dr_pos[:, None] * p["emb"][pos] + dr_neg[:, None] * p["emb"][neg]
+    grads = {"W_main": states.T @ dg, "b_main": dg.sum(axis=0),
+             "W_dro": np.zeros_like(p["W_dro"]), "b_dro": np.zeros_like(p["b_dro"])}
+    dstates = dg @ p["W_main"].T
+    del dg
 
     loss_dro = 0.0
     if method == "dro" and a != 0.0:
         if q0_steps is None:
             raise ValueError("dro training requires q0 per step")
-        gd = model.head_out(states, "dro", p)
+        gd = model.head_out(states, "dro")
         emb = p["emb"][1:]
         terms = np.empty(n_steps)
-        dlogits = np.empty((n_steps, model.n_items)) if want_grads else None
+        dlogits = np.empty((n_steps, model.n_items))
         # The q0 and y products run whole, one per lane: a BLAS gives a row
         # of a product different bits depending on the rows it is computed
         # with.  The rest works step by step and runs in halves.
         q0, y = lanes.each([lambda: q0_steps[valid],                # (Np, n_items)
                             lambda: sigmoid(gd @ emb.T)])
         lanes.each([functools.partial(_robust_steps, q0[r], y[r], pos[r] - 1, terms[r],
-                                      None if dlogits is None else dlogits[r], a / n_steps)
+                                      dlogits[r], a / n_steps)
                     for r in lanes.halves(n_steps)])
         loss_dro = float(np.sum(terms) / n_steps)
-        if want_grads:
-            dgd, demb_dro = lanes.each([lambda: dlogits @ emb, lambda: dlogits.T @ gd])
-            del gd, q0, y, dlogits
-            demb[1:] += demb_dro
-            grads["W_dro"] = states.T @ dgd
-            grads["b_dro"] = dgd.sum(axis=0)
-            dstates += dgd @ p["W_dro"].T
-            del dgd, demb_dro
+        dgd, demb_dro = lanes.each([lambda: dlogits @ emb, lambda: dlogits.T @ gd])
+        del gd, q0, y, dlogits
+        demb[1:] += demb_dro
+        grads["W_dro"] = states.T @ dgd
+        grads["b_dro"] = dgd.sum(axis=0)
+        dstates += dgd @ p["W_dro"].T
+        del dgd, demb_dro
     del states
-
-    loss_joint = loss_rec + a * loss_dro
-    out = {"loss_rec": loss_rec, "loss_dro": loss_dro,
-           "loss_joint": loss_joint, "n_steps": n_steps}
-    if not want_grads:
-        return out
 
     dH = np.zeros((*seqs.shape, model.dim))
     dH[:, :-1, :][valid] = dstates
     del dstates
-    enc_grads = model.backward_states(cache, dH, seqs, p)
+    enc_grads = model.backward_states(cache, dH, seqs)
     enc_grads["emb"] += demb
     enc_grads["emb"][0] = 0.0
     enc_grads.update({k: enc_grads.get(k, 0.0) + v for k, v in grads.items()})
-    out["grads"] = enc_grads
-    return out
+    return {"loss_rec": loss_rec, "loss_dro": loss_dro,
+            "loss_joint": loss_rec + a * loss_dro, "n_steps": n_steps,
+            "grads": enc_grads}
 
 
 def train_model(model: SeqModel, seqs: np.ndarray, *, method: str = "none",
@@ -207,6 +196,8 @@ def train_model(model: SeqModel, seqs: np.ndarray, *, method: str = "none",
         raise ValueError(f"method {method!r} needs per-step propensities")
     if method == "ips_c" and clip is None:
         raise ValueError("method 'ips_c' needs a clip threshold")
+    if not _valid_steps(seqs).any():
+        raise ValueError("no sequence has two items: there is no step to train on")
 
     rng = np.random.default_rng(seed)
     opt = model.make_optimizer(lr, beta2=beta2)

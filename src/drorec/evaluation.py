@@ -162,8 +162,11 @@ def evaluate_model(model, seqs: np.ndarray, targets: np.ndarray,
     """Full report for one frozen model on held-out (prefix, target) pairs.
 
     A k above the model's catalog raises ValueError: its top-k list would
-    be the whole catalog, reported under a larger k.
+    be the whole catalog, reported under a larger k.  So does an empty
+    set of pairs, whose every metric would be NaN.
     """
+    if len(targets) == 0:
+        raise ValueError("no held-out (prefix, target) pairs: no test user has two clicks")
     if max(k_list) > model.n_items:
         raise ValueError(f"k_list {tuple(k_list)} has a k above the model's "
                          f"{model.n_items} items")

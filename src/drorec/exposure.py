@@ -31,26 +31,6 @@ class LeakageError(ValueError):
     """Simulator training input overlaps the evaluation partition."""
 
 
-@dataclass
-class PopularityTable:
-    """Per-item exposure counts and max-normalized popularity scores."""
-
-    counts: np.ndarray  # (n_items,) ints
-    scores: np.ndarray  # (n_items,) in [0, 1]
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "PopularityTable":
-        """Scores are counts / max count, all zero without any count."""
-        top = counts.max(initial=0)
-        scores = counts / top if top > 0 else np.zeros(len(counts))
-        return cls(counts=counts, scores=scores)
-
-
-def popularity_from(log: EventLog) -> PopularityTable:
-    """Count the log's exposures per item into a popularity table."""
-    return PopularityTable.from_counts(log.exposure_counts())
-
-
 def check_no_leakage(log: EventLog, forbidden: EventLog) -> None:
     shared = log.shared_events(forbidden)
     if shared:
@@ -86,13 +66,16 @@ def _by_blocks(seqs: np.ndarray, compute) -> np.ndarray:
 class ExposureSimulator:
     component_a: SeqModel      # attention scorer
     component_b: SeqModel      # recurrent scorer
-    popularity: PopularityTable
+    pop_counts: np.ndarray     # (n_items,) exposure counts
     beta: float
 
     def __post_init__(self):
         self.component_a.freeze()
         self.component_b.freeze()
-        self._pop_softmax = softmax(self.popularity.scores)
+        # the popularity scores are counts / max count, all zero without any count
+        top = self.pop_counts.max(initial=0)
+        self._pop_softmax = softmax(self.pop_counts / top if top > 0
+                                    else np.zeros(len(self.pop_counts)))
 
     def _main_heads(self, seqs: np.ndarray) -> np.ndarray:
         """Both components' main-head outputs at every position, (B, T, 2, dim)."""
@@ -136,7 +119,7 @@ class ExposureSimulator:
         for prefix, comp in (("a__", self.component_a), ("b__", self.component_b)):
             for k, v in comp.params.items():
                 arrays[prefix + k] = v
-        arrays["pop_counts"] = self.popularity.counts
+        arrays["pop_counts"] = self.pop_counts
         save_params(path, arrays,
                     format_version=FORMAT_VERSION, beta=self.beta,
                     a_arch=self.component_a.arch, b_arch=self.component_b.arch,
@@ -161,7 +144,7 @@ class ExposureSimulator:
                                         max_len=meta[f"{c}_max_len"],
                                         fingerprint=fingerprint)
         return cls(component_a=comps["a"], component_b=comps["b"],
-                   popularity=PopularityTable.from_counts(arrays["pop_counts"]),
+                   pop_counts=arrays["pop_counts"],
                    beta=float(meta["beta"]))
 
 
@@ -192,13 +175,13 @@ def build_simulators(parts: list[tuple[EventLog, EventLog, int]], *, dim: int,
     """
     checked = []
     for log, forbidden, seed in parts:
-        popularity = popularity_from(log)
-        if not popularity.counts.any():
+        pop_counts = log.exposure_counts()
+        if not pop_counts.any():
             raise ValueError("no exposure events to train on")
         check_no_leakage(log, forbidden)
         # each user's exposures in time order, users without one left out
         mat = sequences_to_matrix([s for s in log.item_sequences(clicks=False) if s], max_len)
-        checked.append((mat, log.catalog, seed, popularity))
+        checked.append((mat, log.catalog, seed, pop_counts))
     fit = dict(dim=dim, epochs=epochs, lr=lr, batch_size=batch_size)
 
     def fits(arch, seed_offset):
@@ -206,6 +189,6 @@ def build_simulators(parts: list[tuple[EventLog, EventLog, int]], *, dim: int,
                         for mat, catalog, seed, _ in checked]
 
     comps_a, comps_b = lanes.each([fits("attention", 0), fits("recurrent", 1)])
-    return [ExposureSimulator(component_a=a, component_b=b, popularity=popularity, beta=beta)
-            for a, b, (_, _, _, popularity) in zip(comps_a, comps_b, checked)]
+    return [ExposureSimulator(component_a=a, component_b=b, pop_counts=pop_counts, beta=beta)
+            for a, b, (_, _, _, pop_counts) in zip(comps_a, comps_b, checked)]
 

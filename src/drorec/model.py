@@ -58,23 +58,23 @@ class SeqModel:
     # ------------------------------------------------------------------
     # forward / backward
 
-    def forward_states(self, seqs: np.ndarray, params: dict | None = None):
+    def forward_states(self, seqs: np.ndarray):
         """Per-position encoder states for left-padded index sequences.
 
         seqs is (B, T) with 0 as pad; position p's state encodes the
         prefix up to and including the item at p.
         """
-        p = self.params if params is None else params
+        p = self.params
         x = p["emb"][seqs]
         mask = (seqs > 0).astype(np.float64)
         if self.arch == "recurrent":
             return gru.forward(p, x, mask)
         return attention.forward(p, x, mask)
 
-    def backward_states(self, cache: dict, dH: np.ndarray, seqs: np.ndarray,
-                        params: dict | None = None) -> dict[str, np.ndarray]:
+    def backward_states(self, cache: dict, dH: np.ndarray,
+                        seqs: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of all encoder-side parameters given dL/dstates."""
-        p = self.params if params is None else params
+        p = self.params
         if self.arch == "recurrent":
             grads, dx = gru.backward(p, cache, dH)
         else:
@@ -88,19 +88,14 @@ class SeqModel:
     # ------------------------------------------------------------------
     # heads and scoring
 
-    def head_out(self, states: np.ndarray, which: str = "main",
-                 params: dict | None = None) -> np.ndarray:
+    def head_out(self, states: np.ndarray, which: str = "main") -> np.ndarray:
         if which not in HEADS:
             raise ValueError(f"unknown head {which!r}")
-        p = self.params if params is None else params
-        return states @ p[f"W_{which}"] + p[f"b_{which}"]
+        return states @ self.params[f"W_{which}"] + self.params[f"b_{which}"]
 
-    def all_logits(self, states: np.ndarray, which: str = "main",
-                   params: dict | None = None) -> np.ndarray:
+    def all_logits(self, states: np.ndarray, which: str = "main") -> np.ndarray:
         """Logits for every catalog item (pad excluded), shape (..., n_items)."""
-        p = self.params if params is None else params
-        g = self.head_out(states, which, p)
-        return g @ p["emb"][1:].T
+        return self.head_out(states, which) @ self.params["emb"][1:].T
 
     # ------------------------------------------------------------------
     # lifecycle

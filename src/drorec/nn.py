@@ -132,11 +132,11 @@ def save_params(path, params: dict[str, np.ndarray], **meta) -> None:
     np.savez(path, **arrays)
 
 
-def load_params(path, format_version: int | None = None) -> tuple[dict[str, np.ndarray], dict]:
+def load_params(path, format_version: int) -> tuple[dict[str, np.ndarray], dict]:
     """Bit-exact inverse of save_params; returns (params, metadata).
 
-    With ``format_version``, a checkpoint whose ``format_version``
-    metadata is missing or different raises ValueError.
+    A checkpoint whose ``format_version`` metadata is missing or differs
+    from ``format_version`` raises ValueError.
     """
     with np.load(path, allow_pickle=False) as data:
         params, meta = {}, {}
@@ -146,7 +146,7 @@ def load_params(path, format_version: int | None = None) -> tuple[dict[str, np.n
             else:
                 params[k] = data[k]
     found = meta.get("format_version", "(unrecorded)")
-    if format_version is not None and found != format_version:
+    if found != format_version:
         raise ValueError(f"{path}: checkpoint format {found}, expected {format_version}")
     return params, meta
 

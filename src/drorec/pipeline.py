@@ -150,14 +150,15 @@ def robust_finetune(model: SeqModel, config: ExperimentConfig,
                     data: PreparedData, q0_steps: StepQ0 | None,
                     log_path: Path | None = None) -> None:
     """Fine-tune a warm-started model in place with the robust term at
-    weight ``config.a`` over the nominal exposure q0_steps (`step_q0`).
+    weight ``config.a`` over the nominal exposure q0_steps (`step_q0`,
+    unused at ``a = 0``).
 
     A fresh optimizer with slower second-moment decay (fine_beta2) keeps
     the robust term's initial gradient spike in the denominator instead
     of renormalizing it away.
     """
     train_model(model, data.train_seqs, method="dro", a=config.a,
-                q0_steps=q0_steps if config.a != 0.0 else None,
+                q0_steps=q0_steps,
                 epochs=config.epochs - config.warmup_epochs, lr=config.lr,
                 beta2=config.fine_beta2, batch_size=config.batch_size,
                 seed=config.seed + 1, log_path=log_path, phase="robust",

@@ -229,20 +229,18 @@ def test_criterion_3_gradient_integrity():
 
         def joint_loss_fn(p):
             out = batch_objective(model, seqs, negs, method="dro", a=0.7,
-                                  q0_steps=q0, params=p, want_grads=False)
+                                  q0_steps=q0)
             return out["loss_joint"]
 
         def joint_grad_fn(p):
             return batch_objective(model, seqs, negs, method="dro", a=0.7,
-                                   q0_steps=q0, params=p)["grads"]
+                                   q0_steps=q0)["grads"]
 
         def bce_loss_fn(p):
-            return batch_objective(model, seqs, negs, method="none", params=p,
-                                   want_grads=False)["loss_joint"]
+            return batch_objective(model, seqs, negs, method="none")["loss_joint"]
 
         def bce_grad_fn(p):
-            return batch_objective(model, seqs, negs, method="none",
-                                   params=p)["grads"]
+            return batch_objective(model, seqs, negs, method="none")["grads"]
 
         worst = max(worst, check_gradients(joint_loss_fn, joint_grad_fn,
                                            model.params, n_coords=120, seed=2))

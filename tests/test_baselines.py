@@ -56,9 +56,8 @@ def test_relmf_unclicked_is_plain_negative():
     seqs = np.array([[0, 1, 2, 3], [4, 5, 6, 1]])
     negs = np.array([[5, 6, 1], [2, 3, 4]])
     prop = np.array([[1.0, 0.3, 0.6], [0.2, 0.9, 0.5]])
-    plain = batch_objective(model, seqs, negs, method="none", want_grads=False)
-    relmf = batch_objective(model, seqs, negs, method="relmf", prop_steps=prop,
-                            want_grads=False)
+    plain = batch_objective(model, seqs, negs, method="none")
+    relmf = batch_objective(model, seqs, negs, method="relmf", prop_steps=prop)
     valid = (seqs[:, :-1] > 0) & (seqs[:, 1:] > 0)
     H, _ = model.forward_states(seqs)
     logits = model.all_logits(H[:, :-1][valid], "main")

@@ -267,6 +267,44 @@ def test_k_above_the_catalog_writes_no_metrics(two_worlds, tmp_path, capsys, n_i
     assert not (run / "metrics.json").exists()
 
 
+# ten users, two shown items a round for four rounds: few users click twice
+SPARSE_CONFIG = """version = 1
+n_users = 10
+n_items = 20
+rounds = 4
+slate_size = 2
+policy = uniform
+epochs = 2
+warmup_epochs = 1
+expo_epochs = 1
+embedding_dim = 8
+expo_dim = 8
+max_click_len = 10
+max_expo_len = 20
+batch_size = 16
+k_list = 5
+"""
+
+
+@pytest.mark.parametrize("seed, failing, absent", [
+    (1, "train", "model.npz"),          # no training user clicks twice
+    (2, "evaluate", "metrics.json"),    # no test user clicks twice
+])
+def test_stage_without_sequences_exits_1(tmp_path, capsys, seed, failing, absent):
+    config = tmp_path / "config.txt"
+    config.write_text(SPARSE_CONFIG)
+    run = tmp_path / "run"
+    args = ["--config", str(config), "--seed", str(seed), "--out", str(run)]
+    for stage in ("simulate", "train-exposure", "train", "evaluate"):
+        code = main([stage, *args])
+        if stage == failing:
+            break
+        assert code == 0, stage
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+    assert not (run / absent).exists()
+
+
 def test_unversioned_model_rejected(two_worlds, tmp_path, capsys):
     out, cfg_path = two_worlds["model"]
     run = tmp_path / "run"

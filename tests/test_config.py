@@ -1,6 +1,8 @@
 """Config file round-trip and validation."""
 
 import dataclasses
+import importlib
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +98,8 @@ def test_defaults_match_reference_settings():
     ("expo_dim", 0),
     ("max_click_len", 0),
     ("max_expo_len", 0),
+    ("expo_dim", 7),               # not divisible by the attention heads
+    ("embedding_dim", 7),          # the same, with the default attention backbone
 ])
 def test_out_of_range_setting_rejected_at_load(tmp_path, key, value):
     path = tmp_path / "config.txt"
@@ -104,8 +108,33 @@ def test_out_of_range_setting_rejected_at_load(tmp_path, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("ratios", [
+    (0.9, 0.2, 0.1),               # sum 1.2
+    (0.9, 0.0, 0.1),               # an empty part
+    (1.1, -0.2, 0.1),              # sum 1 with a negative part
+    (0.8 + 2e-9, 0.1, 0.1),        # sum beyond the tolerance
+])
+def test_split_ratios_rejected_at_load(tmp_path, ratios):
+    path = tmp_path / "config.txt"
+    path.write_text("version = 1\n" + "".join(
+        f"{key}_ratio = {value!r}\n" for key, value in zip(("train", "valid", "test"), ratios)))
+    with pytest.raises(ConfigError, match="ratios"):
+        load_config(path)
+
+
+def test_workload_configs_load(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.CONFIGS:
+        path = tmp_path / f"{name}.txt"
+        path.write_text(workloads.config_text(name, seed=0))
+        load_config(path)
+
+
 def test_range_boundaries_accepted():
     ExperimentConfig(a=0.0, beta=0.0, snips_k=0.0)
     ExperimentConfig(snips_k=1.0, expo_fraction=0.5)
     ExperimentConfig(n_users=1, n_items=1, slate_size=1, rounds=1, k_list=(1,))
     ExperimentConfig(n_items=25, k_list=(3, 25))
+    ExperimentConfig(train_ratio=0.8 + 5e-10)            # within split_by_user's tolerance
+    ExperimentConfig(backbone="recurrent", embedding_dim=7)

@@ -89,6 +89,15 @@ def test_k_above_the_model_catalog_rejected():
         evaluate_model(model, seqs, targets, np.full(8, 0.5), k_list=(3, 13), **kwargs)
 
 
+def test_no_pairs_rejected():
+    """With no held-out pair every metric would be the NaN of an empty mean."""
+    model = SeqModel(12, 6, 4, "attention", seed=3)
+    with pytest.raises(ValueError, match="no held-out"):
+        evaluate_model(model, np.zeros((0, 4), dtype=np.int64), np.zeros(0, dtype=np.int64),
+                       np.zeros(0), k_list=(3,), snips_k=0.1, seed=0, config_hash="",
+                       revision="")
+
+
 def test_coverage():
     rankings = [np.array([1, 2, 3]), np.array([3, 4, 5])]
     assert coverage(rankings, 2, 10) == pytest.approx(0.4)  # {1,2,3,4}

@@ -11,10 +11,10 @@ import pytest
 from drorec import exposure, lanes
 from drorec.data import (Catalog, CatalogMismatchError, EventLog,
                          parse_event_log, sequences_to_matrix, split_exposure)
-from drorec.exposure import (ExposureSimulator, LeakageError, PopularityTable,
-                             build_simulators, check_no_leakage,
-                             popularity_from, train_exposure_component)
+from drorec.exposure import (ExposureSimulator, LeakageError, build_simulators,
+                             check_no_leakage, train_exposure_component)
 from drorec.model import SeqModel
+from drorec.nn import softmax
 
 
 def _toy_events(n_users=12, n_items=8, length=10, seed=0):
@@ -50,13 +50,15 @@ def _random_prefixes(log, n, seed):
 
 
 def test_popularity_table(sim_setup):
-    log, _ = sim_setup
-    pop = popularity_from(log)
-    assert pop.counts.sum() == np.count_nonzero(~log.click)
-    assert pop.scores.max() == pytest.approx(1.0)
-    assert np.all(pop.scores >= 0.0)
-    empty = PopularityTable.from_counts(np.zeros(3, dtype=np.int64))
-    assert not empty.scores.any()
+    log, sim = sim_setup
+    assert np.array_equal(sim.pop_counts, log.exposure_counts())
+    assert sim.pop_counts.sum() == np.count_nonzero(~log.click)
+    # the popularity component is the softmax of counts / max count
+    assert np.array_equal(sim._pop_softmax, softmax(sim.pop_counts / sim.pop_counts.max()))
+    empty = ExposureSimulator(component_a=SeqModel(3, 4, 5, "attention", seed=1),
+                              component_b=SeqModel(3, 4, 5, "recurrent", seed=2),
+                              pop_counts=np.zeros(3, dtype=np.int64), beta=0.3)
+    assert np.array_equal(empty._pop_softmax, np.full(3, 1 / 3))
 
 
 def test_mixture_sums(sim_setup):
@@ -106,8 +108,8 @@ def test_duplicate_line_across_the_exposure_cut_leaks():
         build_simulators([(second, first, 0)], **fit)
     disjoint = text.replace("i4\t4", "i6\t4", 1)
     first, second = split_exposure(parse_event_log(io.StringIO(disjoint)), 0.7)
-    assert build_simulators([(first, second, 0)], **fit)[0].popularity.counts.sum() == 5
-    assert build_simulators([(second, first, 0)], **fit)[0].popularity.counts.sum() == 2
+    assert build_simulators([(first, second, 0)], **fit)[0].pop_counts.sum() == 5
+    assert build_simulators([(second, first, 0)], **fit)[0].pop_counts.sum() == 2
 
 
 def test_simulator_save_load_bit_exact(tmp_path, sim_setup):
@@ -201,7 +203,7 @@ def test_two_lanes_fit_the_arrays_of_one(lane_count, monkeypatch):
         assert (threads["recurrent"] is threading.main_thread()) == (n == 1)
         assert threads["attention"] is threading.main_thread()
     for one, two in zip(*runs):
-        assert np.array_equal(one.popularity.counts, two.popularity.counts)
+        assert np.array_equal(one.pop_counts, two.pop_counts)
         for comp in ("component_a", "component_b"):
             a, b = getattr(one, comp).params, getattr(two, comp).params
             assert a.keys() == b.keys()

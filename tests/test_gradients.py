@@ -30,11 +30,10 @@ def test_bce_gradients(arch):
     seqs, negs, _ = _batch(seed=0)
 
     def loss(p):
-        return batch_objective(model, seqs, negs, method="none", params=p,
-                               want_grads=False)["loss_joint"]
+        return batch_objective(model, seqs, negs, method="none")["loss_joint"]
 
     def grad(p):
-        return batch_objective(model, seqs, negs, method="none", params=p)["grads"]
+        return batch_objective(model, seqs, negs, method="none")["grads"]
 
     err = check_gradients(loss, grad, model.params, n_coords=80, seed=0)
     assert err < TOL
@@ -47,12 +46,11 @@ def test_joint_dro_gradients(arch):
 
     def loss(p):
         return batch_objective(model, seqs, negs, method="dro", a=0.7,
-                               q0_steps=q0, params=p,
-                               want_grads=False)["loss_joint"]
+                               q0_steps=q0)["loss_joint"]
 
     def grad(p):
         return batch_objective(model, seqs, negs, method="dro", a=0.7,
-                               q0_steps=q0, params=p)["grads"]
+                               q0_steps=q0)["grads"]
 
     err = check_gradients(loss, grad, model.params, n_coords=120, seed=1)
     assert err < TOL
@@ -67,11 +65,10 @@ def test_baseline_gradients(method):
     kwargs = dict(method=method, prop_steps=prop, clip=0.3)
 
     def loss(p):
-        return batch_objective(model, seqs, negs, params=p, want_grads=False,
-                               **kwargs)["loss_joint"]
+        return batch_objective(model, seqs, negs, **kwargs)["loss_joint"]
 
     def grad(p):
-        return batch_objective(model, seqs, negs, params=p, **kwargs)["grads"]
+        return batch_objective(model, seqs, negs, **kwargs)["grads"]
 
     # the loss the baselines descend, built here independently: the positive
     # BCE term reweighted or corrected, the negative term left plain
@@ -89,7 +86,7 @@ def test_baseline_gradients(method):
     else:
         pos_term = -(inv * np.log(sigmoid(r_pos)) + (1.0 - inv) * np.log(sigmoid(-r_pos)))
     expected = float(np.sum(pos_term - np.log(sigmoid(-r_neg))) / valid.sum())
-    out = batch_objective(model, seqs, negs, want_grads=False, **kwargs)
+    out = batch_objective(model, seqs, negs, **kwargs)
     assert abs(out["loss_rec"] - expected) <= 1e-12
     assert out["loss_joint"] == out["loss_rec"]
 

@@ -20,7 +20,7 @@ import pytest
 
 from drorec import attention, dro, exposure, lanes, pipeline
 from drorec.config import ExperimentConfig
-from drorec.exposure import ExposureSimulator, PopularityTable
+from drorec.exposure import ExposureSimulator
 from drorec.model import SeqModel
 
 T, D = 7, 4
@@ -117,7 +117,7 @@ def _robust_batch(seed=3, n_items=40, batch=9, length=12):
     sim = ExposureSimulator(
         component_a=SeqModel(n_items, 4, length, "attention", seed=1),
         component_b=SeqModel(n_items, 4, length, "recurrent", seed=2),
-        popularity=PopularityTable.from_counts(rng.integers(0, 9, size=n_items)),
+        pop_counts=rng.integers(0, 9, size=n_items),
         beta=0.3)
     lens = rng.integers(2, length, size=batch)
     seqs = _left_padded(rng, lens, length, n_items)
@@ -126,8 +126,7 @@ def _robust_batch(seed=3, n_items=40, batch=9, length=12):
     return model, seqs, negs, sim.step_q0(seqs)
 
 
-@pytest.mark.parametrize("want_grads", [True, False])
-def test_robust_block_halves_match_one_lane(monkeypatch, want_grads):
+def test_robust_block_halves_match_one_lane(monkeypatch):
     model, seqs, negs, q0_steps = _robust_batch()
     n_steps = int(dro._valid_steps(seqs).sum())
     steps = _spy(monkeypatch, dro, "_robust_steps", lambda q0, y, target, *rest: len(target))
@@ -136,17 +135,15 @@ def test_robust_block_halves_match_one_lane(monkeypatch, want_grads):
         _use_lanes(monkeypatch, n)
         steps.clear()
         outs.append(dro.batch_objective(model, seqs, negs, method="dro", a=0.1,
-                                        q0_steps=q0_steps, want_grads=want_grads))
+                                        q0_steps=q0_steps))
         _assert_split(steps, n_steps, n)
     one, two = outs
     assert one["loss_dro"] > 0.0
     for key in ("loss_rec", "loss_dro", "loss_joint", "n_steps"):
         assert two[key] == one[key], key
-    assert ("grads" in one) == want_grads
-    if want_grads:
-        assert two["grads"].keys() == one["grads"].keys()
-        for name in one["grads"]:
-            assert np.array_equal(two["grads"][name], one["grads"][name]), name
+    assert two["grads"].keys() == one["grads"].keys()
+    for name in one["grads"]:
+        assert np.array_equal(two["grads"][name], one["grads"][name]), name
 
 
 @pytest.fixture(scope="module")

@@ -26,14 +26,14 @@ class WideEncoder(SeqModel):
     def _wide(self, seqs):
         return np.pad(seqs, ((0, 0), (self.k, 0)))
 
-    def forward_states(self, seqs, params=None):
+    def forward_states(self, seqs):
         self.widths.append(seqs.shape[1])
-        H, cache = super().forward_states(self._wide(seqs), params)
+        H, cache = super().forward_states(self._wide(seqs))
         return H[:, self.k:], cache
 
-    def backward_states(self, cache, dH, seqs, params=None):
+    def backward_states(self, cache, dH, seqs):
         dH = np.pad(dH, ((0, 0), (self.k, 0), (0, 0)))
-        return super().backward_states(cache, dH, self._wide(seqs), params)
+        return super().backward_states(cache, dH, self._wide(seqs))
 
 
 def _batch(lengths, T, seed):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from drorec import dro
-from drorec.exposure import ExposureSimulator, PopularityTable
+from drorec.exposure import ExposureSimulator
 from drorec.model import SeqModel
 
 # The recurrent backward holds little besides its cache, so there the peak
@@ -49,7 +49,7 @@ def test_step_peak_is_the_encoders_own(arch, method):
     sim = ExposureSimulator(
         component_a=SeqModel(N_ITEMS, 4, T, "attention", seed=1),
         component_b=SeqModel(N_ITEMS, 4, T, "recurrent", seed=2),
-        popularity=PopularityTable.from_counts(rng.integers(0, 9, size=N_ITEMS)),
+        pop_counts=rng.integers(0, 9, size=N_ITEMS),
         beta=0.3)
     q0_steps = sim.step_q0(seqs)
     model = SeqModel(N_ITEMS, D, T, arch, seed=3)

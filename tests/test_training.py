@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from drorec.data import Catalog
 from drorec.dro import NonFiniteLossError, train_model
+from drorec.exposure import train_exposure_component
 from drorec.model import SeqModel
 
 # the optimizer settings these tests were written against
@@ -82,6 +84,26 @@ def test_missing_inputs_rejected():
                     prop_steps=np.ones((16, 5)), **fit)              # no clip
     with pytest.raises(ValueError):
         train_model(model, seqs, method="dropout", **fit)
+
+
+def test_no_trainable_step_rejected_before_training(tmp_path):
+    """With no row of two items there is no step: train_model refuses before
+    its first epoch, writing no log and leaving the parameters as they were."""
+    model = SeqModel(9, 6, 6, "recurrent", seed=0)
+    before = {k: v.copy() for k, v in model.params.items()}
+    one_item = np.zeros((4, 6), dtype=np.int64)
+    one_item[:, -1] = [1, 2, 3, 4]
+    log = tmp_path / "log.jsonl"
+    for seqs in (np.zeros((0, 6), dtype=np.int64), one_item):
+        with pytest.raises(ValueError, match="no step to train on"):
+            train_model(model, seqs, epochs=2, seed=0, batch_size=8, log_path=log, **OPT)
+    assert not log.exists()
+    for k, v in before.items():
+        assert np.array_equal(model.params[k], v), k
+    catalog = Catalog(["u0"], [f"i{j}" for j in range(9)])
+    with pytest.raises(ValueError, match="no step to train on"):
+        train_exposure_component(one_item, catalog, "attention", dim=4, epochs=1,
+                                 lr=0.01, batch_size=8, seed=0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

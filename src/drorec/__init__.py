@@ -9,8 +9,7 @@ from .data import (Catalog, DatasetSplit, EventLog, parse_event_log,
                    serialize_event_log, split_by_user, split_exposure,
                    truncate_pad)
 from .dro import dro_term, train_model
-from .evaluation import (MetricsReport, coverage, debiasedness_check,
-                         metric_values, snips_evaluate)
+from .evaluation import MetricsReport, coverage, metric_values, snips_evaluate
 from .exposure import ExposureSimulator, build_simulators, train_exposure_component
 from .model import SeqModel
 from .synthworld import (GroundTruthWorld, LoggingPolicy, generate_world,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -41,6 +42,10 @@ METRICS_CSV = "metrics.csv"
 
 REVISION = f"drorec-{__version__}"
 
+# events.tsv rows serialized per write: the text of the whole log is never
+# held at once
+WRITE_ROWS = 16384
+
 
 def simulate(config: ExperimentConfig, out_dir: Path) -> GroundTruthWorld:
     """The synthetic world, written to out_dir with its feedback-loop log."""
@@ -53,9 +58,25 @@ def simulate(config: ExperimentConfig, out_dir: Path) -> GroundTruthWorld:
     policy = LoggingPolicy(kind=config.policy, slate_size=config.slate_size,
                            rounds=config.rounds)
     log = run_feedback_loop(world, policy, seed=config.seed)
-    (out_dir / EVENTS_FILE).write_text(serialize_event_log(log))
+    _write_events(log, out_dir / EVENTS_FILE)
     world.save(out_dir / WORLD_FILE)
     return world
+
+
+def _write_events(log: EventLog, path: Path) -> None:
+    """Write ``serialize_event_log(log)`` to path, WRITE_ROWS rows at a
+    time, into a temporary file that replaces path only once complete: a
+    cut write leaves no partial log for the later stages to parse."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            # a slice of a sorted log is sorted, so each chunk is its rows' text
+            for a in range(0, len(log.user), WRITE_ROWS):
+                fh.write(serialize_event_log(log.rows(slice(a, a + WRITE_ROWS))))
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def load_log(out_dir: Path) -> EventLog:

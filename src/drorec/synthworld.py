@@ -146,8 +146,10 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
             prefixes = np.stack([
                 np.asarray(truncate_pad(s, max_len), dtype=np.int64)
                 for s in click_seqs])
-            H, _ = scorer.forward_states(prefixes)
-            model_scores = scorer.all_logits(H[:, -1, :], "main")
+            # hold only the logits: a name bound to the encoder's states or
+            # forward cache would keep them alive until the log is written
+            model_scores = scorer.all_logits(scorer.forward_states(prefixes)[0][:, -1, :],
+                                             "main")
         else:
             model_scores = None
 
@@ -186,11 +188,15 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
                     click_counts[v] += 1.0
                     pis[u] = world.click_probs(u, v)
 
-    # slot s of round r is shown at time r * m + s, and clicked then if it is
-    kinds, rounds, users, slots = np.indices((2,) + shown.shape)
-    rows = np.stack([np.ones_like(clicked), clicked])
-    return EventLog(user=users[rows], item=np.stack([shown, shown])[rows] + 1,
-                    time=(rounds * m + slots)[rows], click=kinds[rows] == 1,
+    # slot s of round r is shown at time r * m + s, and clicked then if it is:
+    # every slate entry is an exposure row, then every clicked one a click row
+    c_rounds, c_users, c_slots = np.nonzero(clicked)
+    expo_users = np.broadcast_to(np.arange(n_users)[:, None], shown.shape)
+    expo_times = np.broadcast_to(np.arange(policy.rounds * m).reshape(-1, 1, m), shown.shape)
+    return EventLog(user=np.concatenate((expo_users.ravel(), c_users)),
+                    item=np.concatenate((shown.ravel(), shown[c_rounds, c_users, c_slots])) + 1,
+                    time=np.concatenate((expo_times.ravel(), c_rounds * m + c_slots)),
+                    click=np.arange(shown.size + len(c_users)) >= shown.size,
                     catalog=Catalog([f"u{u:04d}" for u in range(n_users)],
                                     [f"i{v:04d}" for v in range(n_items)]))
 
@@ -203,17 +209,6 @@ def _fit_policy_model(world, click_seqs, seed: int) -> SeqModel:
     train_model(model, mat, method="none", epochs=POLICY_EPOCHS, lr=POLICY_LR,
                 batch_size=POLICY_BATCH, seed=seed, beta2=ADAM_BETA2)
     return model.freeze()
-
-
-def exposure_gini(log: EventLog) -> float:
-    """Gini coefficient of per-item exposure counts (0 = even, 1 = skewed)."""
-    x = np.sort(log.exposure_counts())
-    n = len(x)
-    total = x.sum()
-    if total == 0:
-        return 0.0
-    cum = np.cumsum(x)
-    return float((n + 1 - 2 * np.sum(cum) / total) / n)
 
 
 def oracle_evaluate(model, world: GroundTruthWorld, prefixes: list[list[int]],

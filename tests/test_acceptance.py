@@ -23,12 +23,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from debiasedness import debiasedness_check
 
 from drorec import pipeline
 from drorec.config import ExperimentConfig
 from drorec.data import sequences_to_matrix
 from drorec.dro import batch_objective, dro_term, train_model
-from drorec.evaluation import coverage, debiasedness_check, snips_evaluate
+from drorec.evaluation import coverage, snips_evaluate
 from drorec.exposure import build_simulators
 from drorec.model import SeqModel
 from drorec.nn import check_gradients, keep_freed_memory, sigmoid, softmax

@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from debiasedness import debiasedness_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drorec.evaluation import (MetricsReport, coverage, debiasedness_check,
-                               evaluate_model, floor_propensities, metric_values,
-                               snips_evaluate, target_ranks)
+from drorec.evaluation import (MetricsReport, coverage, evaluate_model,
+                               floor_propensities, metric_values, snips_evaluate,
+                               target_ranks)
 from drorec.model import SeqModel
 
 SNIPS_TOL = 1e-12    # acceptance criterion 4's tolerance

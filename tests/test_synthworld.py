@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from drorec.data import (CLICK, EXPOSURE, parse_event_log, serialize_event_log,
-                         truncate_pad)
+from drorec.data import (CLICK, EXPOSURE, EventLog, parse_event_log,
+                         serialize_event_log, truncate_pad)
 from drorec.synthworld import (EXPLORE_EPS, NOISE, POLICY_MAX_LEN, POP_BONUS,
                                GroundTruthWorld, LoggingPolicy,
-                               _fit_policy_model, exposure_gini,
-                               generate_world, oracle_evaluate,
-                               run_feedback_loop,
+                               _fit_policy_model, generate_world,
+                               oracle_evaluate, run_feedback_loop,
                                true_preference_ranking_value)
 
 
@@ -145,6 +144,17 @@ def test_feedback_loop_matches_reference(small_world, kind, slate_size, seed):
     got = serialize_event_log(run_feedback_loop(small_world, policy, seed=seed))
     want = _reference_feedback_loop(small_world, policy, seed)
     assert got == want
+
+
+def exposure_gini(log: EventLog) -> float:
+    """Gini coefficient of per-item exposure counts (0 = even, 1 = skewed)."""
+    x = np.sort(log.exposure_counts())
+    n = len(x)
+    total = x.sum()
+    if total == 0:
+        return 0.0
+    cum = np.cumsum(x)
+    return float((n + 1 - 2 * np.sum(cum) / total) / n)
 
 
 def test_skewed_policies_concentrate_exposure(small_world):

@@ -27,16 +27,17 @@ class NonFiniteLossError(RuntimeError):
     """Training diverged; carries the epoch/step diagnostics in the message."""
 
 
-def dro_term(q0: np.ndarray, risks: np.ndarray):
+def dro_term(q0: np.ndarray, risks: np.ndarray, out: np.ndarray | None = None):
     """log E_{q0}[e^risk] over the last axis, log-sum-exp stabilized.
 
-    Returns the terms and what their backward pass needs: q0 e^(risk - top)
-    and its sums over the last axis, kept as an axis of length 1.
+    Returns the terms and what their backward pass needs: q0 e^(risk - top),
+    written into ``out`` when given, and its sums over the last axis, kept
+    as an axis of length 1.
     """
     if q0.shape != risks.shape:
         raise ValueError(f"index sets differ: {q0.shape} vs {risks.shape}")
     top = risks.max(axis=-1, keepdims=True)
-    weighted = risks - top
+    weighted = np.subtract(risks, top, out=out)
     np.exp(weighted, out=weighted)
     weighted *= q0
     z = weighted.sum(axis=-1, keepdims=True)
@@ -59,9 +60,9 @@ def _robust_steps(q0: np.ndarray, y: np.ndarray, target: np.ndarray, terms: np.n
     rows = np.arange(len(target))
     y_pos = y[rows, target]
     y[rows, target] = 1.0 - y_pos               # the risks: 1 - y at the target, y elsewhere
-    terms[:], weighted, z = dro_term(q0, y)
+    terms[:], _, z = dro_term(q0, y, out=dlogits)
     y[rows, target] = y_pos
-    np.multiply(weighted, scale, out=dlogits)   # dL/drisk
+    dlogits *= scale                            # dL/drisk
     dlogits /= z
     dlogits[rows, target] = -dlogits[rows, target]  # now dL/dy
     dlogits *= y
@@ -137,12 +138,14 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
         gd = model.head_out(states, "dro")
         emb = p["emb"][1:]
         terms = np.empty(n_steps)
-        dlogits = np.empty((n_steps, model.n_items))
         # The q0 and y products run whole, one per lane: a BLAS gives a row
         # of a product different bits depending on the rows it is computed
-        # with.  The rest works step by step and runs in halves.
-        q0, y = lanes.each([lambda: q0_steps[valid],                # (Np, n_items)
-                            lambda: sigmoid(gd @ emb.T)])
+        # with.  The rest works step by step and runs in halves.  Each
+        # (Np, n_items) array is made only when needed and then reused, so
+        # at most four coexist: two on each lane, then q0, y and dlogits.
+        q0, y = lanes.each([lambda: q0_steps[valid],
+                            lambda: sigmoid(s := gd @ emb.T, out=s)])
+        dlogits = np.empty((n_steps, model.n_items))
         lanes.each([functools.partial(_robust_steps, q0[r], y[r], pos[r] - 1, terms[r],
                                       dlogits[r], a / n_steps)
                     for r in lanes.halves(n_steps)])

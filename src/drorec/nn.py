@@ -42,12 +42,22 @@ def keep_freed_memory() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from
-    # e = e^-|x| <= 1, so neither overflows; whole-array passes only
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sigma(x) written into ``out`` (a new array by default; ``x`` itself
+    may be given) and returned, with e = e^-|x| the one temporary.
+
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from
+    e <= 1, so neither overflows; whole-array passes only.
+    """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.maximum(x >= 0, e) / (1.0 + e)
+    e = np.abs(x, out=np.empty_like(x))       # an array for 0-d x too
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.greater_equal(x, 0.0, out=np.empty_like(x) if out is None else out)
+    np.maximum(out, e, out=out)
+    e += 1.0
+    out /= e
+    return out
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -73,6 +73,19 @@ def test_dro_loss_large_risks_stable():
     assert dro_value(q0, risks) == pytest.approx(1000.0)
 
 
+def test_dro_term_into_out_matches_the_default_call():
+    rng = np.random.default_rng(2)
+    q0 = rng.dirichlet(np.ones(40), size=12)
+    risks = rng.uniform(0, 1, size=(12, 40))
+    terms, weighted, z = dro_term(q0, risks)
+    buf = np.full_like(risks, 7.0)
+    got_terms, got_weighted, got_z = dro_term(q0, risks, out=buf)
+    assert got_weighted is buf
+    assert np.array_equal(got_terms, terms)
+    assert np.array_equal(got_weighted, weighted)
+    assert np.array_equal(got_z, z)
+
+
 def test_dro_loss_shape_mismatch():
     with pytest.raises(ValueError):
         dro_term(np.ones(3) / 3, np.zeros(2))

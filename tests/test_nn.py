@@ -11,6 +11,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,49 @@ def test_sigmoid_matches_reference_bit_for_bit():
     assert got.shape == x.shape and got.dtype == np.float64
     assert np.array_equal(got, want, equal_nan=True)
     assert float(sigmoid(np.float64(2.5))) == float(_sigmoid_reference(np.array([2.5]))[0])
+
+
+def _edge_values():
+    x = np.random.default_rng(3).standard_normal((40, 30)) * 30
+    edge = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+    x.flat[:len(edge)] = edge
+    return x
+
+
+@pytest.mark.parametrize("into", ["x", "buffer"])
+def test_sigmoid_into_out_matches_the_new_array(into):
+    x = _edge_values()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = sigmoid(x)
+        out = x if into == "x" else np.full_like(x, 7.0)
+        got = sigmoid(x, out=out)
+    assert got is out
+    assert np.array_equal(got, want, equal_nan=True)
+    if into == "buffer":
+        assert np.array_equal(x, _edge_values(), equal_nan=True)   # x is left as it was
+
+
+def test_sigmoid_of_0d_input():
+    for v in (2.5, -0.0, -800.0):
+        want = _sigmoid_reference(np.array([v]))[0]
+        assert float(sigmoid(np.array(v))) == want
+        out = np.empty(())
+        assert sigmoid(np.float64(v), out=out) is out and float(out) == want
+        x = np.array(v)
+        assert sigmoid(x, out=x) is x and float(x) == want
+
+
+def test_sigmoid_in_place_holds_one_temporary():
+    # e = e^-|x| is its one x-sized temporary
+    x = np.random.default_rng(4).standard_normal((300, 256))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        sigmoid(x, out=x)
+        extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert extra <= 1.1 * x.nbytes, f"{extra / x.nbytes:.2f} x-sized arrays"
 
 
 def test_masked_softmax_matches_reference_bit_for_bit():

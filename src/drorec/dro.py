@@ -20,7 +20,7 @@ import numpy as np
 from . import lanes
 from .baselines import METHODS, positive_term
 from .model import SeqModel
-from .nn import log_sigmoid, scatter_add_rows, sigmoid
+from .nn import Adam, log_sigmoid, scatter_add_rows, sigmoid
 
 
 class NonFiniteLossError(RuntimeError):
@@ -126,8 +126,7 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
     demb = scatter_add_rows(np.concatenate([pos, neg]), dg_rows, len(p["emb"]))
     del g, dg_rows
     dg = dr_pos[:, None] * p["emb"][pos] + dr_neg[:, None] * p["emb"][neg]
-    grads = {"W_main": states.T @ dg, "b_main": dg.sum(axis=0),
-             "W_dro": np.zeros_like(p["W_dro"]), "b_dro": np.zeros_like(p["b_dro"])}
+    grads = {"W_main": states.T @ dg, "b_main": dg.sum(axis=0)}
     dstates = dg @ p["W_main"].T
     del dg
 
@@ -195,6 +194,8 @@ def train_model(model: SeqModel, seqs: np.ndarray, *, method: str = "none",
         raise RuntimeError("cannot train a frozen model")
     if method == "dro" and a != 0.0 and q0_steps is None:
         raise ValueError("method 'dro' needs per-step q0 from the frozen simulator")
+    if method == "dro" and a != 0.0 and "W_dro" not in model.params:
+        raise ValueError("method 'dro' needs a model with a dro head (SeqModel.add_dro_head)")
     if method in ("ips", "ips_c", "relmf") and prop_steps is None:
         raise ValueError(f"method {method!r} needs per-step propensities")
     if method == "ips_c" and clip is None:
@@ -203,7 +204,7 @@ def train_model(model: SeqModel, seqs: np.ndarray, *, method: str = "none",
         raise ValueError("no sequence has two items: there is no step to train on")
 
     rng = np.random.default_rng(seed)
-    opt = model.make_optimizer(lr, beta2=beta2)
+    opt = Adam(lr, beta2=beta2)
     n_users, T = seqs.shape
     targets = seqs[:, 1:]
     records = []

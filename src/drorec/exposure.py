@@ -138,7 +138,7 @@ class ExposureSimulator:
             catalog.check_fingerprint(fingerprint, path)
         comps = {}
         for c in ("a", "b"):
-            params = {k[3:]: v.copy() for k, v in arrays.items() if k.startswith(f"{c}__")}
+            params = {k[3:]: v for k, v in arrays.items() if k.startswith(f"{c}__")}
             comps[c] = SeqModel.restore(params, arch=meta[f"{c}_arch"],
                                         n_items=meta["n_items"], dim=meta["dim"],
                                         max_len=meta[f"{c}_max_len"],

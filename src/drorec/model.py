@@ -1,9 +1,10 @@
-"""Sequential scorer with shared encoder and two prediction heads.
+"""Sequential scorer: a shared encoder and a linear main head.
 
 The main head produces the recommendation score P used by the BCE
-objective; the dro head produces the score y fed into the surrogate
-risk.  Both are linear layers over the same encoder state, so the two
-paths differ only in their final layer.
+objective.  A model that the robust term trains also gets a dro head
+(`SeqModel.add_dro_head`), which produces the score y fed into the
+surrogate risk; it is a second linear layer over the same encoder state,
+so the two paths differ only in their final layer.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ import numpy as np
 
 from . import attention, gru
 from .data import Catalog
-from .nn import Adam, load_params, save_params, scatter_add_rows, uniform_init
+from .nn import load_params, save_params, scatter_add_rows, uniform_init
 
 ARCHS = ("recurrent", "attention")
-HEADS = ("main", "dro")
 FORMAT_VERSION = 1
 
 
@@ -27,9 +27,10 @@ class SeqModel:
     """Trainable next-item scorer over a fixed catalog.
 
     Parameters are a flat dict of named float64 arrays: item embeddings
-    (row 0 is the pad item and stays zero), architecture weights and the
-    two head layers.  ``fingerprint`` names the catalog the item indices
-    refer to (``Catalog.fingerprint``); checkpoints carry it.
+    (row 0 is the pad item and stays zero), architecture weights, the main
+    head layer and, once `add_dro_head` has run, the dro head layer.
+    ``fingerprint`` names the catalog the item indices refer to
+    (``Catalog.fingerprint``); checkpoints carry it.
     """
 
     def __init__(self, n_items: int, dim: int, max_len: int, arch: str, seed: int = 0,
@@ -50,9 +51,8 @@ class SeqModel:
             params.update(gru.init_weights(rng, dim))
         else:
             params.update(attention.init_weights(rng, dim, max_len))
-        for head in HEADS:
-            params[f"W_{head}"] = uniform_init(rng, (dim, dim))
-            params[f"b_{head}"] = np.zeros(dim)
+        params["W_main"] = uniform_init(rng, (dim, dim))
+        params["b_main"] = np.zeros(dim)
         self.params = params
 
     # ------------------------------------------------------------------
@@ -89,8 +89,8 @@ class SeqModel:
     # heads and scoring
 
     def head_out(self, states: np.ndarray, which: str = "main") -> np.ndarray:
-        if which not in HEADS:
-            raise ValueError(f"unknown head {which!r}")
+        if f"W_{which}" not in self.params:
+            raise ValueError(f"model has no {which!r} head")
         return states @ self.params[f"W_{which}"] + self.params[f"b_{which}"]
 
     def all_logits(self, states: np.ndarray, which: str = "main") -> np.ndarray:
@@ -100,8 +100,8 @@ class SeqModel:
     # ------------------------------------------------------------------
     # lifecycle
 
-    def realign_heads(self) -> None:
-        """Copy the main head into the dro head.
+    def add_dro_head(self) -> None:
+        """Give the model a dro head: new arrays, copies of the main head.
 
         Used at the start of robust fine-tuning so the dro head scores
         agree with the already-trained main head before the robust term
@@ -109,11 +109,8 @@ class SeqModel:
         """
         if self.frozen:
             raise FrozenModelError("cannot mutate a frozen model")
-        self.params["W_dro"][:] = self.params["W_main"]
-        self.params["b_dro"][:] = self.params["b_main"]
-
-    def make_optimizer(self, lr: float, beta2: float) -> Adam:
-        return Adam(self.params.keys(), lr=lr, beta2=beta2)
+        self.params["W_dro"] = self.params["W_main"].copy()
+        self.params["b_dro"] = self.params["b_main"].copy()
 
     def freeze(self) -> "SeqModel":
         self.frozen = True

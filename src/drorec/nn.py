@@ -107,14 +107,14 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray
 
 
 class Adam:
-    """Standard Adam with bias correction over a named-parameter dict."""
+    """Standard Adam with bias correction over a named-parameter dict;
+    a step leaves a parameter it has no gradient for untouched."""
 
-    def __init__(self, param_names, lr: float, beta2: float):
+    def __init__(self, lr: float, beta2: float):
         self.lr = lr
         self.beta2 = beta2
         self.t = 0
-        self.m = {k: None for k in param_names}
-        self.v = {k: None for k in param_names}
+        self.m, self.v = {}, {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
@@ -124,7 +124,7 @@ class Adam:
             p = params[k]
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {k!r}")
-            if self.m[k] is None:
+            if k not in self.m:
                 self.m[k] = np.zeros_like(p)
                 self.v[k] = np.zeros_like(p)
             self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g

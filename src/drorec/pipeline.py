@@ -157,13 +157,13 @@ def _new_model(config: ExperimentConfig, data: PreparedData) -> SeqModel:
 def warm_start(config: ExperimentConfig, data: PreparedData,
                log_path: Path | None = None) -> SeqModel:
     """The base of the robust fine-tune: ``warmup_epochs`` of plain
-    training, then the dro head re-aligned to the trained main head."""
+    training, then a dro head that copies the trained main head."""
     model = _new_model(config, data)
     train_model(model, data.train_seqs, method="none",
                 epochs=config.warmup_epochs, lr=config.lr, beta2=config.beta2,
                 batch_size=config.batch_size, seed=config.seed,
                 log_path=log_path, phase="warmup")
-    model.realign_heads()
+    model.add_dro_head()
     return model
 
 

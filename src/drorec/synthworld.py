@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Catalog, EventLog, sequences_to_matrix, truncate_pad
+from .data import Catalog, EventLog, sequences_to_matrix
 from .dro import train_model
 from .evaluation import metric_values
 from .model import SeqModel
@@ -143,9 +143,7 @@ def run_feedback_loop(world: GroundTruthWorld, policy: LoggingPolicy,
         pop_bonus = POP_BONUS * np.log1p(expo_counts)
         if scorer is not None:
             max_len = min(POLICY_MAX_LEN, max(2, max(len(s) for s in click_seqs)))
-            prefixes = np.stack([
-                np.asarray(truncate_pad(s, max_len), dtype=np.int64)
-                for s in click_seqs])
+            prefixes = sequences_to_matrix(click_seqs, max_len)
             # hold only the logits: a name bound to the encoder's states or
             # forward cache would keep them alive until the log is written
             model_scores = scorer.all_logits(scorer.forward_states(prefixes)[0][:, -1, :],

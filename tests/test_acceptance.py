@@ -32,7 +32,7 @@ from drorec.dro import batch_objective, dro_term, train_model
 from drorec.evaluation import coverage, snips_evaluate
 from drorec.exposure import build_simulators
 from drorec.model import SeqModel
-from drorec.nn import check_gradients, keep_freed_memory, sigmoid, softmax
+from drorec.nn import check_gradients, keep_freed_memory, sigmoid, softmax, uniform_init
 from drorec.synthworld import (LoggingPolicy, generate_world, oracle_evaluate,
                                run_feedback_loop)
 
@@ -227,6 +227,10 @@ def test_criterion_3_gradient_integrity():
     worst = 0.0
     for arch in ("recurrent", "attention"):
         model = SeqModel(6, 8, 4, arch, seed=1)
+        model.add_dro_head()
+        # heads that differ, so that a mix-up of W_main and W_dro in the
+        # backward pass shows
+        model.params["W_dro"] += uniform_init(np.random.default_rng(1), (8, 8))
 
         def joint_loss_fn(p):
             out = batch_objective(model, seqs, negs, method="dro", a=0.7,

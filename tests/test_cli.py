@@ -181,6 +181,12 @@ def test_every_method_runs_through_the_cli(tiny_config, tmp_path, capsys, method
     assert len(records) == cfg.epochs
     assert all(np.isfinite(r[k]) for r in records
                for k in ("loss_rec", "loss_dro", "loss_joint"))
+    # only a model the robust term trained has a dro head to save
+    for name in ("model.npz", "expo_sim.npz", "eval_sim.npz"):
+        with np.load(run / name) as ckpt:
+            heads = {k for k in ckpt.files if k.endswith("_dro")}
+        assert heads == ({"W_dro", "b_dro"} if name == "model.npz" and method == "dro"
+                         else set()), name
     capsys.readouterr()
     assert main(["report", str(run), "--table", str(tmp_path / "report.csv")]) == 0
     assert "ndcg@5/snips" in (tmp_path / "report.csv").read_text()

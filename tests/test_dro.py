@@ -107,6 +107,7 @@ def test_joint_loss():
     # L_joint = L_rec + a * L_dro, and a = 0 leaves the robust term out
     n_items, seqs, negs, q0 = _dro_batch(seed=1)
     model = SeqModel(n_items, 6, seqs.shape[1], "attention", seed=0)
+    model.add_dro_head()
     out = batch_objective(model, seqs, negs, method="dro", a=2.0, q0_steps=q0)
     assert out["loss_dro"] > 0.0
     assert out["loss_joint"] == out["loss_rec"] + 2.0 * out["loss_dro"]
@@ -122,6 +123,7 @@ def test_trained_robust_term_matches_definition(arch):
     # y the sigmoid of the dro head's logits
     n_items, seqs, negs, q0 = _dro_batch()
     model = SeqModel(n_items, 6, seqs.shape[1], arch, seed=3)
+    model.add_dro_head()
     out = batch_objective(model, seqs, negs, method="dro", a=0.6, q0_steps=q0)
     H, _ = model.forward_states(seqs)
     y = sigmoid(model.all_logits(H, "dro"))            # (B, T, n_items)

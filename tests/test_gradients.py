@@ -5,7 +5,7 @@ import pytest
 
 from drorec.dro import batch_objective
 from drorec.model import SeqModel
-from drorec.nn import Adam, check_gradients, sigmoid
+from drorec.nn import Adam, check_gradients, sigmoid, uniform_init
 
 DIM = 8
 N_ITEMS = 6
@@ -42,6 +42,10 @@ def test_bce_gradients(arch):
 @pytest.mark.parametrize("arch", ["recurrent", "attention"])
 def test_joint_dro_gradients(arch):
     model = SeqModel(N_ITEMS, DIM, MAX_LEN, arch, seed=2)
+    model.add_dro_head()
+    # heads that differ, so that a mix-up of W_main and W_dro in the backward
+    # pass shows
+    model.params["W_dro"] += uniform_init(np.random.default_rng(1), (DIM, DIM))
     seqs, negs, q0 = _batch(seed=3)
 
     def loss(p):
@@ -107,14 +111,25 @@ def test_loss_scaling_linearity():
 
 
 def test_adam_rejects_shape_mismatch():
-    opt = Adam(["w"], lr=0.1, beta2=0.999)
+    opt = Adam(lr=0.1, beta2=0.999)
     params = {"w": np.zeros((2, 2))}
     with pytest.raises(ValueError):
         opt.step(params, {"w": np.zeros(3)})
 
 
+def test_adam_leaves_a_parameter_without_a_gradient_untouched():
+    opt = Adam(lr=0.1, beta2=0.999)
+    params = {"w": np.ones(3), "u": np.ones(2)}
+    for _ in range(2):
+        opt.step(params, {"w": np.full(3, 0.5)})
+    assert np.array_equal(params["u"], np.ones(2))
+    assert not np.array_equal(params["w"], np.ones(3))
+    assert opt.m.keys() == opt.v.keys() == {"w"}         # no moments for "u"
+
+
 def test_pad_embedding_gets_no_gradient():
     model = SeqModel(N_ITEMS, DIM, MAX_LEN, "recurrent", seed=8)
+    model.add_dro_head()
     seqs, negs, q0 = _batch(seed=9)
     out = batch_objective(model, seqs, negs, method="dro", a=1.0, q0_steps=q0)
     assert np.all(out["grads"]["emb"][0] == 0.0)

@@ -123,6 +123,7 @@ def _robust_batch(seed=3, n_items=40, batch=9, length=12):
     seqs = _left_padded(rng, lens, length, n_items)
     negs = rng.integers(1, n_items + 1, size=(batch, length - 1))
     model = SeqModel(n_items, 6, length, "attention", seed=4)
+    model.add_dro_head()
     return model, seqs, negs, sim.step_q0(seqs)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from drorec import attention, gru
 from drorec.data import Catalog, CatalogMismatchError
-from drorec.model import SeqModel
+from drorec.model import FrozenModelError, SeqModel
 from drorec.nn import scatter_add_rows, sigmoid
 
 
@@ -46,26 +46,32 @@ def _last_states(model, seqs):
 def test_heads_are_independent_layers():
     model = SeqModel(5, 4, 3, "attention", seed=2)
     states = _last_states(model, [[0, 1, 2]])
+    with pytest.raises(ValueError, match="no 'dro' head"):
+        model.all_logits(states, "dro")             # a new model has the main head only
+    model.add_dro_head()
     main = model.all_logits(states, "main")
-    dro = model.all_logits(states, "dro")
-    assert not np.array_equal(main, dro)
+    np.testing.assert_array_equal(model.all_logits(states, "dro"), main)
     model.params["W_dro"] += 1.0
     np.testing.assert_array_equal(model.all_logits(states, "main"), main)  # main path untouched
-    assert not np.array_equal(model.all_logits(states, "dro"), dro)
+    assert not np.array_equal(model.all_logits(states, "dro"), main)
     with pytest.raises(ValueError):
         model.all_logits(states, "other")
 
 
-def test_realign_heads_copies_current_main_head():
+def test_add_dro_head_copies_current_main_head():
     model = SeqModel(5, 4, 3, "attention", seed=2)
+    assert not {"W_dro", "b_dro"} & model.params.keys()
     model.params["W_main"] += 0.5
-    assert not np.array_equal(model.params["W_dro"], model.params["W_main"])
-    model.realign_heads()
-    np.testing.assert_array_equal(model.params["W_dro"], model.params["W_main"])
-    np.testing.assert_array_equal(model.params["b_dro"], model.params["b_main"])
-    model.freeze()
-    with pytest.raises(RuntimeError):
-        model.realign_heads()
+    model.params["b_main"] += 0.25
+    model.add_dro_head()
+    for layer in ("W", "b"):
+        dro, main = model.params[f"{layer}_dro"], model.params[f"{layer}_main"]
+        np.testing.assert_array_equal(dro, main)
+        assert not np.shares_memory(dro, main)      # a copy, not the main head itself
+    frozen = SeqModel(5, 4, 3, "attention", seed=2).freeze()
+    with pytest.raises(FrozenModelError):
+        frozen.add_dro_head()
+    assert not {"W_dro", "b_dro"} & frozen.params.keys()
 
 
 def test_score_range_and_probability():

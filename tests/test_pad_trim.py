@@ -60,7 +60,10 @@ def _both(arch, method, lengths, T, k, seed):
     """(trimmed, untrimmed) outputs for the batch given k leading pad columns,
     and the widths the trimming encoder was given."""
     seqs, negs, q0, prop = _batch(lengths, T, seed)
-    params = SeqModel(N_ITEMS, DIM, T + K_MAX, arch, seed=seed).params
+    base = SeqModel(N_ITEMS, DIM, T + K_MAX, arch, seed=seed)
+    if method == "dro":
+        base.add_dro_head()
+    params = base.params
     model, wide = _encoder(params, arch, T, 0), _encoder(params, arch, T, k)
     kwargs = dict(method=method, a=0.7 if method == "dro" else 0.0,
                   clip=0.5 if method == "ips_c" else None)

@@ -120,6 +120,7 @@ def test_robust_phase_memory_does_not_grow_with_users_x_length_x_catalog(tmp_pat
     for size in (n, 2 * n):
         sized = dataclasses.replace(data, train_seqs=rows[:size])
         model = pipeline._new_model(cfg, sized)
+        model.add_dro_head()
         tracemalloc.start()
         try:
             pipeline.robust_finetune(model, cfg, sized, sim.step_q0(sized.train_seqs))

@@ -63,6 +63,8 @@ def _step_and_encoder_peaks(arch, method, n_items):
         beta=0.3)
     q0_steps = sim.step_q0(seqs)
     model = SeqModel(n_items, D, T, arch, seed=3)
+    if method == "dro":
+        model.add_dro_head()
 
     def encoder():
         H, cache = model.forward_states(seqs)

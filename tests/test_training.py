@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from drorec import pipeline
+from drorec.config import ExperimentConfig
 from drorec.data import Catalog
 from drorec.dro import NonFiniteLossError, train_model
 from drorec.exposure import train_exposure_component
@@ -65,6 +67,7 @@ def test_dro_training_finite_for_moderate_a():
     q0 = rng.dirichlet(np.ones(9), size=(12, 5))
     for a in (0.01, 0.1, 1.0, 10.0):
         model = SeqModel(9, 6, 6, "attention", seed=2)
+        model.add_dro_head()
         records = train_model(model, seqs, method="dro", a=a, q0_steps=q0,
                               epochs=2, seed=2, batch_size=6, **OPT)
         for rec in records:
@@ -84,6 +87,46 @@ def test_missing_inputs_rejected():
                     prop_steps=np.ones((16, 5)), **fit)              # no clip
     with pytest.raises(ValueError):
         train_model(model, seqs, method="dropout", **fit)
+
+
+def test_dro_without_a_dro_head_rejected_before_training(tmp_path):
+    """The robust term needs the dro head (`SeqModel.add_dro_head`): without
+    one, train_model refuses before its first epoch, leaving the log as it
+    was.  At a = 0 there is no robust term, and no head is needed."""
+    seqs = _seqs(n=12)
+    q0 = np.random.default_rng(0).dirichlet(np.ones(9), size=(12, 5))
+    model = SeqModel(9, 6, 6, "attention", seed=2)
+    log = tmp_path / "log.jsonl"
+    log.write_text("kept\n")
+    fit = dict(method="dro", q0_steps=q0, epochs=1, seed=0, batch_size=6, log_path=log, **OPT)
+    with pytest.raises(ValueError, match="dro head"):
+        train_model(model, seqs, a=0.5, **fit)
+    assert log.read_text() == "kept\n"
+    assert len(train_model(model, seqs, a=0.0, **fit)) == 1
+
+
+def test_warm_start_adds_a_dro_head_that_a_zero_weight_leaves_alone(tmp_path):
+    """warm_start ends with a dro head that copies the trained main head in
+    arrays of its own; a robust fine-tune at a = 0 gives the head no
+    gradient, so it stays that copy bit for bit."""
+    cfg = ExperimentConfig(
+        out_dir=str(tmp_path), n_users=40, n_items=25, latent_dim=4, slate_size=5,
+        rounds=4, embedding_dim=8, expo_dim=8, lr=0.01, epochs=4,
+        warmup_epochs=2, expo_epochs=1, batch_size=16, max_click_len=10,
+        max_expo_len=24, k_list=(3, 5), seed=0, method="dro", a=0.0)
+    pipeline.simulate(cfg, tmp_path)
+    data = pipeline.prepare(cfg, pipeline.load_log(tmp_path))
+    model = pipeline.warm_start(cfg, data)
+    p = model.params
+    for layer in ("W", "b"):
+        assert np.array_equal(p[f"{layer}_dro"], p[f"{layer}_main"])
+        assert not np.shares_memory(p[f"{layer}_dro"], p[f"{layer}_main"])
+    head = {k: p[k].copy() for k in ("W_dro", "b_dro")}
+    main = p["W_main"].copy()
+    pipeline.robust_finetune(model, cfg, data, None)
+    assert not np.array_equal(p["W_main"], main)        # the fine-tune trained
+    for k, v in head.items():
+        assert np.array_equal(p[k], v), k
 
 
 def test_no_trainable_step_rejected_before_training(tmp_path):

@@ -52,12 +52,13 @@ def forward(params: dict[str, np.ndarray], x_items: np.ndarray, mask: np.ndarray
     """Forward over item embeddings x_items (B, T, d) with pad mask (B, T).
 
     Positional embeddings are added inside so the caller passes raw item
-    embeddings.  Returns per-position states (B, T, d) and a cache.  Every
-    step of the pass works row by row, so the two halves of the rows go to
-    the two lanes (`lanes.halves`) and each row comes out as on one lane.
+    embeddings.  Returns per-position states (B, T, d) and a cache, which
+    holds no copy of the input: `backward` takes x_items again.  Every step
+    of the pass works row by row, so the two halves of the rows go to the
+    two lanes (`lanes.halves`) and each row comes out as on one lane.
     """
     B, T, d = x_items.shape
-    cache = {name: np.empty((B, T, d)) for name in ("x", "q", "k", "v", "z_merged", "h1", "f")}
+    cache = {name: np.empty((B, T, d)) for name in ("q", "k", "v", "z_merged", "h1", "f")}
     cache["attn"] = np.empty((B, N_HEADS, T, T))
     h2 = np.empty((B, T, d))
     lanes.each([functools.partial(_forward_rows, params, x_items[b], mask[b], _rows(cache, b),
@@ -72,14 +73,17 @@ def _rows(arrays: dict[str, np.ndarray], b: slice) -> dict[str, np.ndarray]:
     return {name: a[b] for name, a in arrays.items()}
 
 
+def _with_positions(params, x_items: np.ndarray) -> np.ndarray:
+    # Right-aligned position rows: with left-padded inputs the most recent
+    # item always gets the last position embedding, for any input length.
+    return x_items + params["att_pos"][-x_items.shape[1]:]
+
+
 def _forward_rows(params, x_items, mask, c, h2) -> None:
     """`forward` of some rows, written into their slices c of the cache
     arrays (q, k and v with merged heads) and h2 of the states."""
     T, d = x_items.shape[1:]
-    # Right-aligned position rows: with left-padded inputs the most recent
-    # item always gets the last position embedding, for any input length.
-    x = c["x"]
-    np.add(x_items, params["att_pos"][-T:], out=x)
+    x = _with_positions(params, x_items)
     for name in ("q", "k", "v"):
         np.matmul(x, params[f"att_W{name}"], out=c[name])
     q, k, v = (_split_heads(c[name]) for name in ("q", "k", "v"))
@@ -102,45 +106,88 @@ def _forward_rows(params, x_items, mask, c, h2) -> None:
     h2 += params["att_b2"]
 
 
-def backward(params: dict[str, np.ndarray], cache: dict, dH: np.ndarray):
-    """Backprop dL/dH (B, T, d) through the block.
+def backward(params: dict[str, np.ndarray], cache: dict, dH: np.ndarray,
+             x_items: np.ndarray):
+    """Backprop dL/dH (B, T, d) through the block, given the forward's
+    cache and input x_items.
 
-    Returns (weight gradients including att_pos, dL/dx_items).  The input
-    gradients work row by row and go to the two lanes in halves; then each
-    weight gradient, a sum over all rows, is taken whole, three products
-    on each lane.
+    Returns (weight gradients including att_pos, dL/dx_items).  The pass
+    consumes the cache: each array leaves it at its last use.  The input
+    gradients work row by row and go to the two lanes in halves; each weight
+    gradient, a sum over all rows, is taken whole, two products on each
+    lane, as soon as its operands are complete.
     """
-    x = cache["x"]
-    B, T, d = x.shape
-    g = {name: np.empty((B, T, d)) for name in ("dpre", "dh1", "dq", "dk", "dv", "dx")}
+    B, T, d = dH.shape
     parts = lanes.halves(B)
+    dpre, dh1 = np.empty((B, T, d)), np.empty((B, T, d))
+    lanes.each([functools.partial(_feed_forward_rows, params, cache["f"][b], dH[b], dpre[b],
+                                  dh1[b])
+                for b in parts])
+    grads = _both(lambda: {"att_W2": _weight_grad(cache["f"], dH), "att_b2": dH.sum(axis=(0, 1))},
+                  lambda: {"att_W1": _weight_grad(cache["h1"], dpre),
+                           "att_b1": dpre.sum(axis=(0, 1))})
+    del cache["f"], cache["h1"], dpre
+
     # the lanes share one BLOCK_BYTES budget for their (rows, heads, T, T)
     # blocks, allocated here so the peak does not depend on their timing
     rows = max(1, BLOCK_BYTES // (N_HEADS * T * T * 8) // len(parts))
     scratch = [np.empty((2, min(rows, b.stop - b.start), N_HEADS, T, T)) for b in parts]
-    lanes.each([functools.partial(_backward_rows, params, _rows(cache, b), dH[b], _rows(g, b),
+    g = {name: np.empty((B, T, d)) for name in ("dq", "dk", "dv", "dx")}
+    core = {name: cache.pop(name) for name in ("attn", "q", "k", "v")}
+    lanes.each([functools.partial(_backward_rows, params, _rows(core, b), dh1[b], _rows(g, b),
                                   rows, s)
                 for b, s in zip(parts, scratch)])
-    grads = {}
-    for part in lanes.each([functools.partial(_feed_forward_grads, cache, dH, g),
-                            functools.partial(_attention_grads, params, cache, g)]):
-        grads.update(part)
+    del core, scratch
+
+    x = _with_positions(params, x_items)
+    grads |= _both(lambda: {"att_Wo": _weight_grad(cache["z_merged"], dh1),
+                            "att_bo": dh1.sum(axis=(0, 1)),
+                            "att_Wq": _weight_grad(x, g["dq"]),
+                            "att_pos": _position_grad(params, g["dx"])},
+                   lambda: {"att_Wk": _weight_grad(x, g["dk"]),
+                            "att_Wv": _weight_grad(x, g["dv"])})
+    del cache["z_merged"]
     return grads, g["dx"]
 
 
-def _backward_rows(params, c, dH, g, rows, scratch) -> None:
-    """`backward`'s input gradients of some rows, written into their slices
-    g of the gradient arrays (heads merged).  The (rows, heads, T, T) work
-    goes a block of ``rows`` rows at a time through the two scratch arrays;
-    each row's products and sums are those of one block over the batch."""
-    d = dH.shape[-1]
-    dpre = np.matmul(dH, params["att_W2"].T, out=g["dpre"])
-    dpre *= c["f"] > 0.0              # f = max(pre, 0) is positive where pre is
-    dh1 = np.matmul(dpre, params["att_W1"].T, out=g["dh1"])
+def _both(first, second) -> dict[str, np.ndarray]:
+    """The gradients of two calls, one on each lane, in one dict."""
+    a, b = lanes.each([first, second])
+    return a | b
+
+
+def _weight_grad(inputs: np.ndarray, doutputs: np.ndarray) -> np.ndarray:
+    """The gradient of a (d, d) weight, summed over every row and position."""
+    d = inputs.shape[-1]
+    return inputs.reshape(-1, d).T @ doutputs.reshape(-1, d)
+
+
+def _position_grad(params, dx: np.ndarray) -> np.ndarray:
+    grad = np.zeros_like(params["att_pos"])
+    grad[-dx.shape[1]:] = dx.sum(axis=0)
+    return grad
+
+
+def _feed_forward_rows(params, f, dH, dpre, dh1) -> None:
+    """The feed-forward's gradients of some rows, written into their slices
+    dpre (at its pre-activation) and dh1 (at its input)."""
+    np.matmul(dH, params["att_W2"].T, out=dpre)
+    dpre *= f > 0.0                   # f = max(pre, 0) is positive where pre is
+    np.matmul(dpre, params["att_W1"].T, out=dh1)
     dh1 += dH                         # dH + dpre @ W1.T
 
+
+def _backward_rows(params, c, dh1, g, rows, scratch) -> None:
+    """The input gradients of some rows from their dh1, written into their
+    slices g of the gradient arrays (heads merged).  The work goes a block
+    of ``rows`` rows at a time, its (rows, heads, T, T) part through the two
+    scratch arrays; each row's products and sums are those of one block over
+    the batch.  dz is built in g's dx slice, and each block's dx replaces
+    its dz once the block is done with it."""
+    d = dh1.shape[-1]
+    scale = np.sqrt(d // N_HEADS)
     # output projection + residual, then attention in blocks of whole rows
-    dz = _split_heads(dh1 @ params["att_Wo"].T)
+    dz = _split_heads(np.matmul(dh1, params["att_Wo"].T, out=g["dx"]))
     attn, q, k, v = c["attn"], c["q"], c["k"], c["v"]
     dq, dk, dv = (_split_heads(g[name]) for name in ("dq", "dk", "dv"))
     for start in range(0, len(attn), rows):
@@ -155,34 +202,10 @@ def _backward_rows(params, c, dH, g, rows, scratch) -> None:
         dscores -= row_dot
         dscores *= a
         np.matmul(dscores, k[b], out=dq[b])
+        dq[b] /= scale
         np.matmul(dscores.transpose(0, 1, 3, 2), q[b], out=dk[b])
-    del dz
-    dq /= np.sqrt(d // N_HEADS)
-    dk /= np.sqrt(d // N_HEADS)
-
-    dx = np.matmul(g["dq"], params["att_Wq"].T, out=g["dx"])
-    dx += g["dk"] @ params["att_Wk"].T
-    dx += g["dv"] @ params["att_Wv"].T
-    dx += dh1
-
-
-def _feed_forward_grads(cache, dH, g) -> dict[str, np.ndarray]:
-    """Gradients of the feed-forward and output projection weights."""
-    d = dH.shape[-1]
-    return {"att_W2": cache["f"].reshape(-1, d).T @ dH.reshape(-1, d),
-            "att_b2": dH.sum(axis=(0, 1)),
-            "att_W1": cache["h1"].reshape(-1, d).T @ g["dpre"].reshape(-1, d),
-            "att_b1": g["dpre"].sum(axis=(0, 1)),
-            "att_Wo": cache["z_merged"].reshape(-1, d).T @ g["dh1"].reshape(-1, d),
-            "att_bo": g["dh1"].sum(axis=(0, 1))}
-
-
-def _attention_grads(params, cache, g) -> dict[str, np.ndarray]:
-    """Gradients of the query, key and value projections and the positions."""
-    x = cache["x"]
-    T, d = x.shape[1:]
-    grads = {f"att_W{name}": x.reshape(-1, d).T @ g[f"d{name}"].reshape(-1, d)
-             for name in ("q", "k", "v")}
-    grads["att_pos"] = np.zeros_like(params["att_pos"])
-    grads["att_pos"][-T:] = g["dx"].sum(axis=0)
-    return grads
+        dk[b] /= scale
+        dx = np.matmul(g["dq"][b], params["att_Wq"].T, out=g["dx"][b])
+        dx += g["dk"][b] @ params["att_Wk"].T
+        dx += g["dv"][b] @ params["att_Wv"].T
+        dx += dh1[b]

@@ -97,12 +97,27 @@ class Catalog:
                 f"but the event log's catalog is {self.fingerprint}")
 
 
+def _in_order(user: np.ndarray, time: np.ndarray, click: np.ndarray) -> bool:
+    """Whether every row is at or after the one before it by (user, time,
+    click): then the stable sort would keep the rows as they are.  Only
+    bool arrays of the row count are made."""
+    if np.any(user[1:] < user[:-1]):
+        return False
+    tie = user[1:] == user[:-1]
+    if np.any(tie & (time[1:] < time[:-1])):
+        return False
+    tie &= time[1:] == time[:-1]
+    return not np.any(tie & (click[1:] < click[:-1]))
+
+
 @dataclass(eq=False)
 class EventLog:
     """One row per event, as integer columns under a catalog: ``user``
     indexes ``catalog.user_ids``, ``item`` is 1-based into ``catalog.item_ids``.
     Construction sorts the rows by user, then time, exposures before clicks
-    at one time, stably, so rows that tie keep their given order."""
+    at one time, stably, so rows that tie keep their given order.  Columns
+    already in that order, as those of a slice of a log are, are kept as
+    given: int64 and bool arrays are not copied."""
 
     user: np.ndarray     # (n,) int64
     item: np.ndarray     # (n,) int64
@@ -113,8 +128,10 @@ class EventLog:
     def __post_init__(self):
         user, item, time = (np.asarray(c, dtype=np.int64) for c in (self.user, self.item, self.time))
         click = np.asarray(self.click, dtype=bool)
-        order = np.lexsort((click, time, user))
-        self.user, self.item, self.time, self.click = (c[order] for c in (user, item, time, click))
+        if not _in_order(user, time, click):
+            order = np.lexsort((click, time, user))
+            user, item, time, click = (c[order] for c in (user, item, time, click))
+        self.user, self.item, self.time, self.click = user, item, time, click
 
     def rows(self, index) -> "EventLog":
         """The rows ``index`` selects, as a log over the same catalog."""

@@ -123,8 +123,9 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
     dg_rows = np.empty((2 * n_steps, g.shape[1]))   # g's terms, pos then neg rows
     np.multiply(dr_pos[:, None], g, out=dg_rows[:n_steps])
     np.multiply(dr_neg[:, None], g, out=dg_rows[n_steps:])
+    del g
     demb = scatter_add_rows(np.concatenate([pos, neg]), dg_rows, len(p["emb"]))
-    del g, dg_rows
+    del dg_rows
     dg = dr_pos[:, None] * p["emb"][pos] + dr_neg[:, None] * p["emb"][neg]
     grads = {"W_main": states.T @ dg, "b_main": dg.sum(axis=0)}
     dstates = dg @ p["W_main"].T

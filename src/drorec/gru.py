@@ -29,7 +29,8 @@ def init_weights(rng: np.random.Generator, dim: int) -> dict[str, np.ndarray]:
 def forward(params: dict[str, np.ndarray], x: np.ndarray, mask: np.ndarray):
     """Run the recurrence over x (B, T, d) with mask (B, T) in {0,1}.
 
-    Returns per-position hidden states (B, T, d) and a cache for backward.
+    Returns per-position hidden states (B, T, d) and a cache for backward,
+    which holds no copy of x: `backward` takes it again.
     """
     B, T, d = x.shape
     Wz, Uz, bz = params["gru_Wz"], params["gru_Uz"], params["gru_bz"]
@@ -50,16 +51,17 @@ def forward(params: dict[str, np.ndarray], x: np.ndarray, mask: np.ndarray):
         zs.append(z); rs.append(r); ns.append(n); h_prevs.append(h)
         h = h_new
         H[:, t, :] = h
-    cache = {"x": x, "mask": mask, "z": zs, "r": rs, "n": ns, "h_prev": h_prevs}
+    cache = {"mask": mask, "z": zs, "r": rs, "n": ns, "h_prev": h_prevs}
     return H, cache
 
 
-def backward(params: dict[str, np.ndarray], cache: dict, dH: np.ndarray):
-    """Backprop dL/dH (B, T, d) through the recurrence.
+def backward(params: dict[str, np.ndarray], cache: dict, dH: np.ndarray, x: np.ndarray):
+    """Backprop dL/dH (B, T, d) through the recurrence, given the forward's
+    cache and input x.
 
     Returns (weight gradients, dL/dx).
     """
-    x, mask = cache["x"], cache["mask"]
+    mask = cache["mask"]
     B, T, d = x.shape
     Wz, Uz = params["gru_Wz"], params["gru_Uz"]
     Wr, Ur = params["gru_Wr"], params["gru_Ur"]

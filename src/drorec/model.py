@@ -73,12 +73,12 @@ class SeqModel:
 
     def backward_states(self, cache: dict, dH: np.ndarray,
                         seqs: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of all encoder-side parameters given dL/dstates."""
+        """Gradients of all encoder-side parameters given dL/dstates and
+        the cache of `forward_states`, which the pass consumes.  The
+        embedded input, which no cache holds, is gathered again."""
         p = self.params
-        if self.arch == "recurrent":
-            grads, dx = gru.backward(p, cache, dH)
-        else:
-            grads, dx = attention.backward(p, cache, dH)
+        encoder = gru if self.arch == "recurrent" else attention
+        grads, dx = encoder.backward(p, cache, dH, p["emb"][seqs])
         real = seqs > 0                 # pad entries add only to row 0, zeroed below
         demb = scatter_add_rows(seqs[real], dx[real], len(p["emb"]))
         demb[0] = 0.0

@@ -3,7 +3,8 @@
 `attention.backward` does its (rows, heads, T, T) work a block of whole
 rows at a time, under `attention.BLOCK_BYTES`.  Every result must equal
 that of a single block bit for bit, and its memory above the forward cache
-must not grow with batch x T x T.
+must not grow with batch x T x T, nor hold more than a few (B, T, d)
+arrays at a time.
 """
 
 import tracemalloc
@@ -16,6 +17,12 @@ from drorec.nn import check_gradients
 
 B, T, D = 5, 7, 4
 ROW_BYTES = attention.N_HEADS * T * T * 8      # one row's (heads, T, T) float64 block
+# (B, T, d) arrays backward may hold above its inputs: dL/dh1 and the query,
+# key, value and input gradients, less the two cache arrays freed before
+# them, plus the one-row scratch blocks and the blocks' temporaries.  It
+# reads about 3.3 on one lane and 3.5 on two; the whole cache beside all six
+# gradient arrays reads 7.3 and 7.4.
+ARRAYS = 4
 
 
 def _inputs(batch, length, dim, seed=0):
@@ -33,7 +40,7 @@ def _inputs(batch, length, dim, seed=0):
 
 def _run(params, x, mask, dH):
     H, cache = attention.forward(params, x, mask)
-    grads, dx = attention.backward(params, cache, dH)
+    grads, dx = attention.backward(params, cache, dH, x)
     return H, grads, dx
 
 
@@ -75,7 +82,7 @@ def _backward_extra_bytes(batch, length, dim):
         _, cache = attention.forward(params, x, mask)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        attention.backward(params, cache, dH)
+        attention.backward(params, cache, dH, x)
         return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -98,3 +105,22 @@ def test_backward_memory_bound_holds_on_two_lanes(monkeypatch):
     one BLOCK_BYTES budget."""
     monkeypatch.setattr(lanes, "count", lambda: 2)
     test_backward_memory_grows_with_block_not_batch_x_length_squared()
+
+
+@pytest.mark.parametrize("n_lanes", [1, 2])
+def test_backward_holds_few_row_arrays(monkeypatch, n_lanes):
+    """Above its inputs, backward holds at most ARRAYS (B, T, d) arrays at a
+    time.  It frees each cache array at its last use: the relu output and
+    the residual once the feed-forward weights' gradients are taken, before
+    its query, key, value and input gradients are made; the attention
+    weights, queries, keys and values before the input is read again.  The
+    blocks are one row each here, so the (rows, heads, T, T) scratch weighs
+    little next to a (B, T, d) array.  A backward that makes all six of its
+    gradient arrays beside the whole cache holds seven or more."""
+    monkeypatch.setattr(lanes, "count", lambda: n_lanes)
+    batch, length, dim = 32, 40, 32
+    monkeypatch.setattr(attention, "BLOCK_BYTES", attention.N_HEADS * length * length * 8)
+    array = batch * length * dim * 8
+    assert 2 * n_lanes * attention.BLOCK_BYTES < array / 3     # the scratch blocks
+    extra = _backward_extra_bytes(batch, length, dim)
+    assert extra <= ARRAYS * array, f"{extra / array:.2f} (B, T, d) arrays"

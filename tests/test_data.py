@@ -1,6 +1,7 @@
 """Event-log parsing, catalog indexing and dataset splits."""
 
 import io
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +208,56 @@ def test_shared_events_property(a, b, repeat):
     expected = len(set(a) & set(b))
     assert log(a).shared_events(log(b)) == expected
     assert log(b).shared_events(log(a)) == expected
+
+
+_CATALOG = Catalog([f"u{u}" for u in range(4)], [f"i{i}" for i in range(5)])
+
+
+def _columns(rng, n):
+    """n rows over few users, times and items, so that many rows tie."""
+    return (rng.integers(0, 4, size=n), rng.integers(1, 6, size=n), rng.integers(0, 5, size=n),
+            rng.random(n) < 0.5)
+
+
+def _lexsorted(user, item, time, click):
+    order = np.lexsort((click, time, user))
+    return [c[order] for c in (user, item, time, click)]
+
+
+@pytest.mark.parametrize("case", ["shuffled", "sorted", "one pair swapped", "click first"])
+@pytest.mark.parametrize("n", [0, 1, 2, 40])
+def test_log_rows_come_out_as_the_stable_lexsort_orders_them(case, n):
+    rng = np.random.default_rng(n)
+    cols = _columns(rng, n)
+    if case != "shuffled":
+        cols = _lexsorted(*cols)
+    if case == "one pair swapped" and n > 1:
+        cols[0][1] = cols[0][0]               # the first two rows of one user,
+        cols[2][:2] = 4, 0                    # the second one earlier
+    if case == "click first" and n > 1:
+        cols = [c[:2].copy() for c in cols]
+        cols[0][:], cols[2][:], cols[3][:] = 1, 3, [True, False]
+    log = EventLog(*cols, catalog=_CATALOG)
+    for got, expected in zip((log.user, log.item, log.time, log.click), _lexsorted(*cols)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_sorted_log_is_built_without_a_sorted_copy():
+    """Columns already in order are kept: the constructor's traced peak is
+    a few bool arrays of the row count, where a sort makes an int64 order
+    and a copy of each column, four int64 columns' worth."""
+    cols = _lexsorted(*_columns(np.random.default_rng(0), 20000))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        log = EventLog(*cols, catalog=_CATALOG)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < cols[0].nbytes / 2, f"{peak / cols[0].nbytes:.2f} int64 columns"
+    assert all(got is given for got, given in zip((log.user, log.item, log.time, log.click), cols))
+    part = log.rows(slice(5, 900))
+    assert np.shares_memory(part.user, log.user)
 
 
 def test_index_sequences():

@@ -91,16 +91,19 @@ def test_attention_halves_match_one_lane(monkeypatch, batch, block):
     if block == "one row":
         monkeypatch.setattr(attention, "BLOCK_BYTES", ROW_BYTES)
     forward_rows = _spy(monkeypatch, attention, "_forward_rows", lambda p, x, *rest: len(x))
-    backward_rows = _spy(monkeypatch, attention, "_backward_rows", lambda p, c, dH, *rest: len(dH))
+    feed_forward_rows = _spy(monkeypatch, attention, "_feed_forward_rows",
+                             lambda p, f, dH, *rest: len(dH))
+    backward_rows = _spy(monkeypatch, attention, "_backward_rows",
+                         lambda p, c, dh1, *rest: len(dh1))
     runs = []
     for n in (1, 2):
         _use_lanes(monkeypatch, n)
-        forward_rows.clear()
-        backward_rows.clear()
+        for calls in (forward_rows, feed_forward_rows, backward_rows):
+            calls.clear()
         H, cache = attention.forward(params, x, mask)
-        grads, dx = attention.backward(params, cache, dH)
-        _assert_split(forward_rows, batch, n)
-        _assert_split(backward_rows, batch, n)
+        grads, dx = attention.backward(params, cache, dH, x)
+        for calls in (forward_rows, feed_forward_rows, backward_rows):
+            _assert_split(calls, batch, n)
         runs.append((H, grads, dx))
     (H1, grads1, dx1), (H2, grads2, dx2) = runs
     assert np.array_equal(H2, H1)
@@ -193,7 +196,8 @@ def test_row_split_inside_a_fit_lane_runs_inline(monkeypatch, small_run):
     _use_lanes(monkeypatch, 2)
     batches = _spy(monkeypatch, attention, "forward", lambda p, x, mask: len(x))
     forward_rows = _spy(monkeypatch, attention, "_forward_rows", lambda p, x, *rest: len(x))
-    backward_rows = _spy(monkeypatch, attention, "_backward_rows", lambda p, c, dH, *rest: len(dH))
+    backward_rows = _spy(monkeypatch, attention, "_backward_rows",
+                         lambda p, c, dh1, *rest: len(dh1))
     recurrent = _spy(monkeypatch, dro, "train_model", lambda model, *rest, **kw: model.arch)
     pipeline.train_exposure(cfg, cfg.out_dir)
     assert {(t is threading.main_thread(), arch) for t, arch in recurrent} == {
@@ -292,7 +296,7 @@ def test_callers_on_many_threads_share_the_lanes_safely(monkeypatch):
     _use_lanes(monkeypatch, 2)
     params, x, mask, dH = _inputs(5)
     H, cache = attention.forward(params, x, mask)
-    expected = (H, *attention.backward(params, cache, dH))
+    expected = (H, *attention.backward(params, cache, dH, x))
     pairs = _recording_each(monkeypatch)
     failures = []
 
@@ -300,7 +304,7 @@ def test_callers_on_many_threads_share_the_lanes_safely(monkeypatch):
         try:
             for _ in range(10):
                 H, cache = attention.forward(params, x, mask)
-                got = (H, *attention.backward(params, cache, dH))
+                got = (H, *attention.backward(params, cache, dH, x))
                 if not (np.array_equal(got[0], expected[0]) and np.array_equal(got[2], expected[2])
                         and all(np.array_equal(got[1][k], expected[1][k]) for k in expected[1])):
                     failures.append("mismatch")

@@ -129,7 +129,38 @@ def test_embedding_scatter_skips_pad_bit_for_bit(arch):
     H, cache = model.forward_states(seqs)
     dH = rng.standard_normal(H.shape)
     grads = model.backward_states(cache, dH, seqs)
-    _, dx = {"recurrent": gru, "attention": attention}[arch].backward(model.params, cache, dH)
+    _, cache = model.forward_states(seqs)      # the backward pass consumed the first cache
+    encoder = {"recurrent": gru, "attention": attention}[arch]
+    _, dx = encoder.backward(model.params, cache, dH, model.params["emb"][seqs])
     full = scatter_add_rows(seqs, dx, len(model.params["emb"]))
     full[0] = 0.0
     assert np.array_equal(grads["emb"], full)
+
+
+def _arrays(value):
+    """The arrays in a cache value: an array, or a list of per-step arrays."""
+    return value if isinstance(value, list) else [value]
+
+
+@pytest.mark.parametrize("arch", ["recurrent", "attention"])
+def test_forward_cache_holds_no_copy_of_the_input(arch):
+    """`backward_states` gathers the embedded input again, so the cache
+    holds only the encoder's own arrays: per-step gates and states (four
+    (B, T, d) arrays) and the mask in the recurrent one; projections,
+    attention output, residual and relu output (six) and the attention
+    weights in the attention one.  A cache that kept the input, or the
+    input plus positions, would hold one more (B, T, d) array."""
+    B, T, d = 6, 9, 4
+    model = SeqModel(11, d, T, arch, seed=2)
+    seqs = np.random.default_rng(3).integers(1, 12, size=(B, T))
+    _, cache = model.forward_states(seqs)
+    bases = {}
+    for value in cache.values():
+        for a in _arrays(value):
+            base = a if a.base is None else a.base
+            bases[id(base)] = base.nbytes
+    array = B * T * d * 8
+    if arch == "recurrent":
+        assert sum(bases.values()) == 4 * array + B * T * 8
+    else:
+        assert sum(bases.values()) == 6 * array + B * attention.N_HEADS * T * T * 8

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import valid_steps
 from .exposure import ExposureSimulator
 from .nn import log_sigmoid, sigmoid
 
@@ -82,5 +83,4 @@ def _target_propensity(q0: np.ndarray, seqs: np.ndarray) -> np.ndarray:
     rows = np.arange(B)[:, None]
     cols = np.arange(T - 1)[None, :]
     rho = q0[rows, cols, np.clip(targets - 1, 0, None)]
-    valid = (seqs[:, :-1] > 0) & (targets > 0)
-    return np.where(valid, rho, 1.0)
+    return np.where(valid_steps(seqs), rho, 1.0)

@@ -294,6 +294,12 @@ def sequences_to_matrix(seqs: list[list[int]], max_len: int) -> np.ndarray:
     return out
 
 
+def valid_steps(seqs: np.ndarray) -> np.ndarray:
+    """(n, T-1) mask of the training steps of the (n, T) padded seqs: the
+    steps where both the prefix-ending item and the target are real."""
+    return (seqs[:, :-1] > PAD_INDEX) & (seqs[:, 1:] > PAD_INDEX)
+
+
 def index_sequences(log: EventLog, users: list[str]) -> list[list[int]]:
     """Per-user clicked item-index sequences for the given users."""
     seqs = log.item_sequences(clicks=True)

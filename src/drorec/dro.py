@@ -19,6 +19,7 @@ import numpy as np
 
 from . import lanes
 from .baselines import METHODS, positive_term
+from .data import valid_steps
 from .model import SeqModel
 from .nn import Adam, log_sigmoid, scatter_add_rows, sigmoid
 
@@ -42,11 +43,6 @@ def dro_term(q0: np.ndarray, risks: np.ndarray, out: np.ndarray | None = None):
     weighted *= q0
     z = weighted.sum(axis=-1, keepdims=True)
     return (top + np.log(z))[..., 0], weighted, z
-
-
-def _valid_steps(seqs: np.ndarray) -> np.ndarray:
-    """Steps where both the prefix-ending item and the target are real."""
-    return (seqs[:, :-1] > 0) & (seqs[:, 1:] > 0)
 
 
 def _robust_steps(q0: np.ndarray, y: np.ndarray, target: np.ndarray, terms: np.ndarray,
@@ -95,7 +91,7 @@ def batch_objective(model: SeqModel, seqs: np.ndarray, negs: np.ndarray, *,
         q0_steps = q0_steps[:, first:]
     if prop_steps is not None:
         prop_steps = prop_steps[:, first:]
-    valid = _valid_steps(seqs)
+    valid = valid_steps(seqs)
     n_steps = int(valid.sum())
     if n_steps == 0:
         raise ValueError("batch contains no trainable steps")
@@ -201,7 +197,7 @@ def train_model(model: SeqModel, seqs: np.ndarray, *, method: str = "none",
         raise ValueError(f"method {method!r} needs per-step propensities")
     if method == "ips_c" and clip is None:
         raise ValueError("method 'ips_c' needs a clip threshold")
-    if not _valid_steps(seqs).any():
+    if not valid_steps(seqs).any():
         raise ValueError("no sequence has two items: there is no step to train on")
 
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lanes
-from .data import Catalog, EventLog, sequences_to_matrix
+from .data import Catalog, EventLog, sequences_to_matrix, valid_steps
 from .model import SeqModel
 from .nn import ADAM_BETA2, load_params, save_params, softmax
 
@@ -49,17 +49,6 @@ def train_exposure_component(mat: np.ndarray, catalog: Catalog, arch: str, *,
     train_model(model, mat, method="none", epochs=epochs, lr=lr,
                 batch_size=batch_size, seed=seed, beta2=ADAM_BETA2)
     return model.freeze()
-
-
-def _by_blocks(seqs: np.ndarray, compute) -> np.ndarray:
-    """``compute(block)`` of each block of at most Q0_BLOCK_ROWS rows of seqs, stacked."""
-    out = None
-    for start in range(0, max(len(seqs), 1), Q0_BLOCK_ROWS):
-        part = compute(seqs[start:start + Q0_BLOCK_ROWS])
-        if out is None:
-            out = np.empty((len(seqs),) + part.shape[1:], dtype=part.dtype)
-        out[start:start + len(part)] = part
-    return out
 
 
 @dataclass(kw_only=True)
@@ -106,11 +95,30 @@ class ExposureSimulator:
     def q0_blocks(self, seqs: np.ndarray, take) -> np.ndarray:
         """``take(q0_all_positions(seqs), seqs)``, one block at a time, bit for
         bit when take works row by row, as slicing and per-row gathers do."""
-        return _by_blocks(seqs, lambda block: take(self.q0_all_positions(block), block))
+        out = None
+        for start in range(0, max(len(seqs), 1), Q0_BLOCK_ROWS):
+            block = seqs[start:start + Q0_BLOCK_ROWS]
+            part = take(self.q0_all_positions(block), block)
+            if out is None:
+                out = np.empty((len(seqs),) + part.shape[1:], dtype=part.dtype)
+            out[start:start + len(part)] = part
+        return out
 
     def step_q0(self, seqs: np.ndarray) -> "StepQ0":
-        """The q0 of every training step of seqs: of each prefix but the whole row."""
-        return StepQ0(self, _by_blocks(seqs, lambda block: self._main_heads(block)[:, :-1]))
+        """The q0 of every training step (`data.valid_steps`) of seqs."""
+        valid = valid_steps(seqs)
+        n_valid = np.count_nonzero(valid)
+        index = np.full(valid.shape, -1)
+        index[valid] = np.arange(n_valid)
+        heads = np.empty((n_valid, 2, self.component_a.dim))
+        # in row-major order a block's valid steps are one range of heads
+        start = 0
+        for a in range(0, len(seqs), Q0_BLOCK_ROWS):
+            block = valid[a:a + Q0_BLOCK_ROWS]
+            end = start + np.count_nonzero(block)
+            heads[start:end] = self._main_heads(seqs[a:a + Q0_BLOCK_ROWS])[:, :-1][block]
+            start = end
+        return StepQ0(self, heads, index)
 
     # ------------------------------------------------------------------
 
@@ -152,14 +160,20 @@ class ExposureSimulator:
 class StepQ0:
     """Indexes like a (rows, steps, n_items) q0 array without holding one:
     an index that keeps rows and steps gives a StepQ0, one that picks out
-    steps (a boolean mask) their q0, `q0_all_positions` up to BLAS rounding."""
+    valid steps (a boolean mask) their q0, `q0_all_positions` up to BLAS
+    rounding.  Picking a step that is not valid raises ValueError."""
 
     sim: ExposureSimulator
-    heads: np.ndarray   # `_main_heads` at every step, (rows, steps, 2, dim)
+    heads: np.ndarray   # `_main_heads` at the valid steps, (valid steps, 2, dim)
+    index: np.ndarray   # (rows, steps) row of heads of each step, -1 where not valid
 
     def __getitem__(self, index):
-        heads = self.heads[index]
-        return StepQ0(self.sim, heads) if heads.ndim == 4 else self.sim._mixture(heads)
+        at = self.index[index]
+        if at.ndim == 2:
+            return StepQ0(self.sim, self.heads, at)
+        if np.any(at < 0):
+            raise ValueError("q0 asked for a step that is not valid")
+        return self.sim._mixture(self.heads[at])
 
 
 def build_simulators(parts: list[tuple[EventLog, EventLog, int]], *, dim: int,

@@ -3,11 +3,14 @@
 Each step is a pure function of (config, input files, seed): simulate a
 world, train the exposure/evaluation simulators, train a backbone with
 the chosen debiasing method, and evaluate with naive + SNIPS metrics.
-The four stages hand off through the files of one run directory. A
-caller that already holds what a stage would read back from it (the
-prepared data of `load_log`, the simulators, the model) may pass it in;
-`prepare`, `fit_simulator`, `warm_start` and `robust_finetune` are the
-pieces for work in memory.
+The four stages hand off through the files of one run directory. Each
+builds only what it reads from the parsed log and keeps no log behind
+it: `train_exposure` the two exposure halves (`data.split_exposure`),
+`train_backbone` and `evaluate` the click sequences (`click_data`). A
+caller that already holds what a stage would read back (`prepare`'s
+data, the simulators, the model) may pass it in; `prepare`,
+`fit_simulator`, `warm_start` and `robust_finetune` are the pieces for
+work in memory.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import __version__, baselines
 from .config import ExperimentConfig, config_to_text
-from .data import (EventLog, index_sequences, parse_event_log, sequences_to_matrix,
+from .data import (Catalog, EventLog, index_sequences, parse_event_log, sequences_to_matrix,
                    serialize_event_log, split_by_user, split_exposure)
 from .dro import train_model
 from .evaluation import config_fingerprint, evaluate_model
@@ -86,21 +89,26 @@ def load_log(out_dir: Path) -> EventLog:
 
 
 @dataclass
-class PreparedData:
-    log: EventLog
-    expo_part: EventLog             # the earlier exposures of every user
-    eval_part: EventLog             # the later ones
+class ClickData:
+    """What training and evaluation read of a log."""
+    catalog: Catalog
     train_seqs: np.ndarray          # (n_train, max_click_len)
     test_targets: np.ndarray        # held-out next click per test user
     test_prefix_mat: np.ndarray     # their clicks before it
 
 
-def prepare(config: ExperimentConfig, log: EventLog) -> PreparedData:
-    """User split, exposure split, and padded training/test sequences."""
+@dataclass
+class PreparedData(ClickData):
+    """`click_data` and the exposure split of a log, with the log."""
+    log: EventLog
+    expo_part: EventLog             # the earlier exposures of every user
+    eval_part: EventLog             # the later ones
+
+
+def click_data(config: ExperimentConfig, log: EventLog) -> ClickData:
+    """User split and the padded training and test click sequences."""
     split = split_by_user(log, (config.train_ratio, config.valid_ratio,
                                 config.test_ratio), seed=config.seed)
-    expo_part, eval_part = split_exposure(log, config.expo_fraction)
-
     n_train = len(split.train_users)
     clicks = index_sequences(log, split.train_users + split.test_users)
     train_clicks = [s for s in clicks[:n_train] if len(s) >= 2]
@@ -111,11 +119,17 @@ def prepare(config: ExperimentConfig, log: EventLog) -> PreparedData:
         if len(seq) >= 2:
             prefixes.append(seq[:-1])
             targets.append(seq[-1])
-    return PreparedData(
-        log=log, expo_part=expo_part, eval_part=eval_part,
-        train_seqs=train_seqs,
+    return ClickData(
+        catalog=log.catalog, train_seqs=train_seqs,
         test_targets=np.array(targets, dtype=np.int64),
         test_prefix_mat=sequences_to_matrix(prefixes, config.max_click_len))
+
+
+def prepare(config: ExperimentConfig, log: EventLog) -> PreparedData:
+    """`click_data` and the exposure split (`data.split_exposure`) of log."""
+    clicks = click_data(config, log)
+    expo_part, eval_part = split_exposure(log, config.expo_fraction)
+    return PreparedData(**vars(clicks), log=log, expo_part=expo_part, eval_part=eval_part)
 
 
 def _fit(config: ExperimentConfig,
@@ -138,23 +152,24 @@ def train_exposure(config: ExperimentConfig, out_dir: Path,
     earlier one, their components side by side (`exposure.build_simulators`)."""
     out_dir = Path(out_dir)
     if data is None:
-        data = prepare(config, load_log(out_dir))
-    expo_sim, eval_sim = _fit(config, [
-        (data.expo_part, data.eval_part, config.seed),
-        (data.eval_part, data.expo_part, config.seed + 1000)])
+        expo_part, eval_part = split_exposure(load_log(out_dir), config.expo_fraction)
+    else:
+        expo_part, eval_part = data.expo_part, data.eval_part
+    expo_sim, eval_sim = _fit(config, [(expo_part, eval_part, config.seed),
+                                       (eval_part, expo_part, config.seed + 1000)])
     expo_sim.save(out_dir / EXPO_SIM_FILE)
     eval_sim.save(out_dir / EVAL_SIM_FILE)
     return expo_sim, eval_sim
 
 
-def _new_model(config: ExperimentConfig, data: PreparedData) -> SeqModel:
+def _new_model(config: ExperimentConfig, data: ClickData) -> SeqModel:
     """The untrained recommender of the run."""
-    catalog = data.log.catalog
+    catalog = data.catalog
     return SeqModel(catalog.n_items, config.embedding_dim, config.max_click_len,
                     config.backbone, seed=config.seed, fingerprint=catalog.fingerprint)
 
 
-def warm_start(config: ExperimentConfig, data: PreparedData,
+def warm_start(config: ExperimentConfig, data: ClickData,
                log_path: Path | None = None) -> SeqModel:
     """The base of the robust fine-tune: ``warmup_epochs`` of plain
     training, then a dro head that copies the trained main head."""
@@ -168,7 +183,7 @@ def warm_start(config: ExperimentConfig, data: PreparedData,
 
 
 def robust_finetune(model: SeqModel, config: ExperimentConfig,
-                    data: PreparedData, q0_steps: StepQ0 | None,
+                    data: ClickData, q0_steps: StepQ0 | None,
                     log_path: Path | None = None) -> None:
     """Fine-tune a warm-started model in place with the robust term at
     weight ``config.a`` over the nominal exposure q0_steps (`step_q0`,
@@ -187,14 +202,14 @@ def robust_finetune(model: SeqModel, config: ExperimentConfig,
 
 
 def train_backbone(config: ExperimentConfig, out_dir: Path,
-                   data: PreparedData | None = None,
+                   data: ClickData | None = None,
                    expo_sim: ExposureSimulator | None = None) -> SeqModel:
     """Train the target recommender with the configured debiasing method."""
     out_dir = Path(out_dir)
     if data is None:
-        data = prepare(config, load_log(out_dir))
+        data = click_data(config, load_log(out_dir))
     if expo_sim is None and config.method != "none":
-        expo_sim = ExposureSimulator.load(out_dir / EXPO_SIM_FILE, data.log.catalog)
+        expo_sim = ExposureSimulator.load(out_dir / EXPO_SIM_FILE, data.catalog)
 
     log_path = out_dir / TRAIN_LOG_FILE
     if config.method == "dro":
@@ -219,17 +234,17 @@ def train_backbone(config: ExperimentConfig, out_dir: Path,
 
 
 def evaluate(config: ExperimentConfig, out_dir: Path,
-             data: PreparedData | None = None,
+             data: ClickData | None = None,
              model: SeqModel | None = None,
              eval_sim: ExposureSimulator | None = None):
     """Naive + SNIPS metrics for the trained model on held-out test users."""
     out_dir = Path(out_dir)
     if data is None:
-        data = prepare(config, load_log(out_dir))
+        data = click_data(config, load_log(out_dir))
     if model is None:
-        model = SeqModel.load(out_dir / MODEL_FILE, data.log.catalog)
+        model = SeqModel.load(out_dir / MODEL_FILE, data.catalog)
     if eval_sim is None:
-        eval_sim = ExposureSimulator.load(out_dir / EVAL_SIM_FILE, data.log.catalog)
+        eval_sim = ExposureSimulator.load(out_dir / EVAL_SIM_FILE, data.catalog)
 
     q0 = eval_sim.q0_blocks(data.test_prefix_mat, lambda q0, _: q0[:, -1])
     rho = q0[np.arange(len(data.test_targets)), data.test_targets - 1]

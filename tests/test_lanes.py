@@ -20,6 +20,7 @@ import pytest
 
 from drorec import attention, dro, exposure, lanes, pipeline
 from drorec.config import ExperimentConfig
+from drorec.data import valid_steps
 from drorec.exposure import ExposureSimulator
 from drorec.model import SeqModel
 
@@ -132,7 +133,7 @@ def _robust_batch(seed=3, n_items=40, batch=9, length=12):
 
 def test_robust_block_halves_match_one_lane(monkeypatch):
     model, seqs, negs, q0_steps = _robust_batch()
-    n_steps = int(dro._valid_steps(seqs).sum())
+    n_steps = int(valid_steps(seqs).sum())
     steps = _spy(monkeypatch, dro, "_robust_steps", lambda q0, y, target, *rest: len(target))
     outs = []
     for n in (1, 2):

@@ -17,8 +17,7 @@ import pytest
 
 from drorec import baselines, exposure, pipeline
 from drorec.config import ExperimentConfig
-from drorec.data import sequences_to_matrix
-from drorec.dro import _valid_steps
+from drorec.data import sequences_to_matrix, valid_steps
 
 BLOCK = 4   # small, so each caller's matrix spans several blocks and a partial one
 
@@ -93,11 +92,37 @@ def test_step_q0_matches_whole_matrix_at_valid_steps(run, small_blocks, monkeypa
     seqs = data.train_seqs[idx]
     first = int(np.argmax(seqs.any(axis=0)))
     assert first > 0
-    valid = _valid_steps(seqs[:, first:])
+    valid = valid_steps(seqs[:, first:])
     got = seen["q0"][idx][:, first:][valid]
     expected = sim.q0_all_positions(seqs)[:, :-1][:, first:][valid]
     np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
     assert np.abs(got.sum(axis=1) - 1.0).max() < 1e-9   # criterion 1's tolerance
+
+
+def test_step_q0_keeps_heads_at_valid_steps_only(run, small_blocks):
+    """`step_q0` keeps the simulator heads of the valid steps alone, and a
+    batch's q0 equals, bit for bit, that of heads kept at every step of the
+    same blocks, indexed as `train_model` and `batch_objective` index it."""
+    cfg, _, data, sim, _ = run
+    seqs = data.train_seqs
+    _partial(len(seqs))
+    q0 = sim.step_q0(seqs)
+    assert q0.heads.nbytes == int(valid_steps(seqs).sum()) * 2 * cfg.expo_dim * 8
+
+    full = np.concatenate([sim._main_heads(seqs[a:a + BLOCK])[:, :-1]
+                           for a in range(0, len(seqs), BLOCK)])
+    # a batch whose leading column is pad in every row, as batch_objective trims
+    idx = np.flatnonzero(seqs[:, 0] == 0)[::-1][:2 * BLOCK + 1]
+    first = int(np.argmax(seqs[idx].any(axis=0)))
+    assert first > 0
+    valid = valid_steps(seqs[idx][:, first:])
+    expected = sim._mixture(full[idx][:, first:][valid])
+    assert np.array_equal(q0[idx][:, first:][valid], expected)
+
+    pad_step = valid.copy()
+    pad_step[tuple(np.argwhere(~valid)[0])] = True
+    with pytest.raises(ValueError, match="not valid"):
+        q0[idx][:, first:][pad_step]
 
 
 def test_robust_phase_memory_does_not_grow_with_users_x_length_x_catalog(tmp_path):

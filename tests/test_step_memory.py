@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from drorec import dro
+from drorec.data import valid_steps
 from drorec.exposure import ExposureSimulator
 from drorec.model import SeqModel
 
@@ -76,7 +77,7 @@ def _step_and_encoder_peaks(arch, method, n_items):
         out = dro.batch_objective(model, seqs, negs, method=method, a=0.5, q0_steps=q0_steps)
         assert out["loss_dro"] > 0.0 if method == "dro" else out["loss_dro"] == 0.0
 
-    return _traced_peak(step), _traced_peak(encoder), int(dro._valid_steps(seqs).sum())
+    return _traced_peak(step), _traced_peak(encoder), int(valid_steps(seqs).sum())
 
 
 @pytest.mark.parametrize("method", ["none", "dro"])
